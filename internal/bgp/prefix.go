@@ -260,20 +260,57 @@ func (p Prefix) Uint32() uint32 {
 
 // String renders the canonical "addr/len" form.
 func (p Prefix) String() string {
-	switch p.family {
-	case FamilyIPv4:
-		return fmt.Sprintf("%d.%d.%d.%d/%d", p.addr[0], p.addr[1], p.addr[2], p.addr[3], p.bits)
-	case FamilyIPv6:
-		var b strings.Builder
+	if !p.IsValid() {
+		return "invalid/0"
+	}
+	var buf [48]byte // fits the longest form, a full IPv6 prefix
+	return string(p.appendText(buf[:0]))
+}
+
+// appendText appends the "addr/len" form of a valid prefix to b: dotted
+// decimal for IPv4, eight uncompressed hex groups for IPv6.
+func (p Prefix) appendText(b []byte) []byte {
+	if p.family == FamilyIPv4 {
+		for i := 0; i < 4; i++ {
+			if i > 0 {
+				b = append(b, '.')
+			}
+			b = strconv.AppendUint(b, uint64(p.addr[i]), 10)
+		}
+	} else {
 		for i := 0; i < 16; i += 2 {
 			if i > 0 {
-				b.WriteByte(':')
+				b = append(b, ':')
 			}
-			fmt.Fprintf(&b, "%x", uint16(p.addr[i])<<8|uint16(p.addr[i+1]))
+			b = strconv.AppendUint(b, uint64(p.addr[i])<<8|uint64(p.addr[i+1]), 16)
 		}
-		return b.String() + "/" + strconv.Itoa(int(p.bits))
 	}
-	return "invalid/0"
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.bits), 10)
+}
+
+// MarshalText implements encoding.TextMarshaler with the String form.
+// The zero Prefix marshals as empty text, as netip.Prefix does.
+func (p Prefix) MarshalText() ([]byte, error) {
+	if !p.IsValid() {
+		return []byte{}, nil
+	}
+	return p.appendText(make([]byte, 0, 18)), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler via ParsePrefix.
+// Empty text yields the zero Prefix, which callers reject with IsValid.
+func (p *Prefix) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*p = Prefix{}
+		return nil
+	}
+	q, err := ParsePrefix(string(text))
+	if err != nil {
+		return err
+	}
+	*p = q
+	return nil
 }
 
 // bitAt returns bit i (0 = most significant) of the address.

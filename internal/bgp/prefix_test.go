@@ -69,6 +69,32 @@ func TestParsePrefixErrors(t *testing.T) {
 	}
 }
 
+// TestPrefixText: the text form is String's, it round-trips, the zero
+// Prefix maps to and from empty text, and bad text is ParsePrefix's error.
+func TestPrefixText(t *testing.T) {
+	for _, s := range []string{"10.0.0.0/8", "192.0.2.0/24", "2001:db8:0:0:0:0:0:0/32"} {
+		p := MustParsePrefix(s)
+		text, err := p.MarshalText()
+		if err != nil || string(text) != s {
+			t.Fatalf("MarshalText(%s) = %q, %v", s, text, err)
+		}
+		var q Prefix
+		if err := q.UnmarshalText(text); err != nil || q != p {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, q, err)
+		}
+	}
+	if text, err := (Prefix{}).MarshalText(); err != nil || len(text) != 0 {
+		t.Fatalf("zero Prefix marshals to %q, %v", text, err)
+	}
+	q := MustParsePrefix("10.0.0.0/8")
+	if err := q.UnmarshalText(nil); err != nil || q.IsValid() {
+		t.Fatalf("empty text unmarshals to %v, %v", q, err)
+	}
+	if err := q.UnmarshalText([]byte("10.0.0.0/33")); err == nil {
+		t.Fatal("UnmarshalText accepted /33")
+	}
+}
+
 func TestPrefixIsMapKey(t *testing.T) {
 	m := map[Prefix]int{}
 	m[MustParsePrefix("10.0.0.0/8")] = 1

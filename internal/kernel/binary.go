@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/binenc"
 )
 
-// The binary snapshot format. JSON (snapshot.go) is the portable,
-// inspectable form; this is the compact one that scales to full-archive
-// state. Layout:
+// The binary snapshot format — the one wire form of Snapshot, which the
+// engine checkpoint (stream's MCKP container) embeds as its kernel
+// section. The Snapshot structs are typed (prefixes are bgp.Prefix
+// values), so encoding is a straight walk with nothing to parse or fail
+// on; their JSON rendering is only the HTTP checkpoint payload's. Layout:
 //
 //	magic "MSNP" | uvarint version
 //	frame: meta      — uvarint event count
@@ -32,9 +34,7 @@ import (
 // (binenc.AppendFrame) and every count is validated against the bytes
 // remaining, so truncated or fuzzed input fails cleanly.
 
-// snapshotMagic introduces a binary kernel snapshot. The first byte can
-// never open a JSON document, which is what makes restore-side content
-// sniffing (DecodeSnapshotAuto) unambiguous.
+// snapshotMagic introduces a binary kernel snapshot.
 var snapshotMagic = []byte("MSNP")
 
 func appendASNs(dst []byte, asns []bgp.ASN) []byte {
@@ -57,24 +57,19 @@ func readASNs(r *binenc.Reader) []bgp.ASN {
 	return out
 }
 
-func appendEventSnap(dst []byte, ev *EventSnap) ([]byte, error) {
-	p, err := bgp.ParsePrefix(ev.Prefix)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: encode event prefix %q: %w", ev.Prefix, err)
-	}
+func appendEventSnap(dst []byte, ev *EventSnap) []byte {
 	dst = append(dst, ev.Type)
 	dst = binary.AppendVarint(dst, int64(ev.Day))
 	dst = binary.AppendUvarint(dst, ev.Seq)
-	dst = binenc.AppendPrefix(dst, p)
+	dst = binenc.AppendPrefix(dst, ev.Prefix)
 	dst = appendASNs(dst, ev.Origins)
 	dst = appendASNs(dst, ev.PrevOrigins)
-	dst = append(dst, ev.Class, ev.PrevClass)
-	return dst, nil
+	return append(dst, ev.Class, ev.PrevClass)
 }
 
 func readEventSnap(r *binenc.Reader) EventSnap {
 	ev := EventSnap{Type: r.Byte(), Day: r.Int(), Seq: r.Uvarint()}
-	ev.Prefix = r.Prefix().String()
+	ev.Prefix = r.Prefix()
 	ev.Origins = readASNs(r)
 	ev.PrevOrigins = readASNs(r)
 	ev.Class = r.Byte()
@@ -82,15 +77,12 @@ func readEventSnap(r *binenc.Reader) EventSnap {
 	return ev
 }
 
-func appendEventSnaps(dst []byte, evs []EventSnap) ([]byte, error) {
+func appendEventSnaps(dst []byte, evs []EventSnap) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	var err error
 	for i := range evs {
-		if dst, err = appendEventSnap(dst, &evs[i]); err != nil {
-			return nil, err
-		}
+		dst = appendEventSnap(dst, &evs[i])
 	}
-	return dst, nil
+	return dst
 }
 
 func readEventSnaps(r *binenc.Reader) []EventSnap {
@@ -119,10 +111,8 @@ func snapshotSizeHint(s *Snapshot) int {
 	return n
 }
 
-// AppendSnapshotBinary appends s's binary encoding to dst. It fails only
-// on a snapshot whose prefix strings do not parse (which Snapshot never
-// produces).
-func AppendSnapshotBinary(dst []byte, s *Snapshot) ([]byte, error) {
+// AppendSnapshotBinary appends s's binary encoding to dst.
+func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 	if dst == nil {
 		dst = make([]byte, 0, snapshotSizeHint(s))
 	}
@@ -132,36 +122,25 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) ([]byte, error) {
 	meta := binary.AppendUvarint(nil, uint64(s.Events))
 	dst = binenc.AppendFrame(dst, meta)
 
-	var err error
 	// The section scratch is sized for the biggest section up front, so
 	// neither it nor dst pays doubling-growth copies mid-encode.
 	sec := make([]byte, 0, snapshotSizeHint(s))
 	sec = binary.AppendUvarint(sec, uint64(len(s.Prefixes)))
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		p, perr := bgp.ParsePrefix(ps.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("kernel: encode prefix %q: %w", ps.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
+		sec = binenc.AppendPrefix(sec, ps.Prefix)
 		sec = appendASNs(sec, ps.Origins)
 		sec = append(sec, ps.Class)
 		sec = binary.AppendUvarint(sec, ps.Seq)
 		sec = binary.AppendVarint(sec, int64(ps.Since))
-		if sec, err = appendEventSnaps(sec, ps.History); err != nil {
-			return nil, err
-		}
+		sec = appendEventSnaps(sec, ps.History)
 	}
 	dst = binenc.AppendFrame(dst, sec)
 
 	sec = binary.AppendUvarint(sec[:0], uint64(len(s.Conflicts)))
 	for i := range s.Conflicts {
 		cs := &s.Conflicts[i]
-		p, perr := bgp.ParsePrefix(cs.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("kernel: encode conflict prefix %q: %w", cs.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
+		sec = binenc.AppendPrefix(sec, cs.Prefix)
 		sec = binary.AppendVarint(sec, int64(cs.FirstDay))
 		sec = binary.AppendVarint(sec, int64(cs.LastDay))
 		sec = binary.AppendVarint(sec, int64(cs.DaysObserved))
@@ -180,21 +159,8 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) ([]byte, error) {
 	}
 	dst = binenc.AppendFrame(dst, sec)
 
-	if sec, err = appendEventSnaps(sec[:0], s.Log); err != nil {
-		return nil, err
-	}
-	dst = binenc.AppendFrame(dst, sec)
-	return dst, nil
-}
-
-// EncodeSnapshotBinary writes the snapshot in the binary format.
-func EncodeSnapshotBinary(w io.Writer, s *Snapshot) error {
-	buf, err := AppendSnapshotBinary(nil, s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+	sec = appendEventSnaps(sec[:0], s.Log)
+	return binenc.AppendFrame(dst, sec)
 }
 
 // DecodeSnapshotBinary parses a binary snapshot and validates its
@@ -219,8 +185,9 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	// A prefix entry is at least 7 bytes (2-byte prefix, empty origin
 	// set, class, seq, since, empty history).
 	n := sec.Count(7)
+	s.Prefixes = slices.Grow(s.Prefixes, n)
 	for i := 0; i < n; i++ {
-		ps := PrefixSnap{Prefix: sec.Prefix().String()}
+		ps := PrefixSnap{Prefix: sec.Prefix()}
 		ps.Origins = readASNs(sec)
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
@@ -234,8 +201,9 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 
 	sec = r.Frame()
 	n = sec.Count(7)
+	s.Conflicts = slices.Grow(s.Conflicts, n)
 	for i := 0; i < n; i++ {
-		cs := ConflictSnap{Prefix: sec.Prefix().String()}
+		cs := ConflictSnap{Prefix: sec.Prefix()}
 		cs.FirstDay = sec.Int()
 		cs.LastDay = sec.Int()
 		cs.DaysObserved = sec.Int()
@@ -268,20 +236,4 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: %d trailing bytes after binary snapshot", r.Len())
 	}
 	return s, nil
-}
-
-// DecodeSnapshotAuto reads a snapshot in either format, sniffing the
-// content: input opening with the binary magic parses as binary,
-// anything else as JSON (whose top level is always an object). This is
-// the restore entry point that keeps pre-binary JSON checkpoints
-// loading.
-func DecodeSnapshotAuto(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: read snapshot: %w", err)
-	}
-	if bytes.HasPrefix(data, snapshotMagic) {
-		return DecodeSnapshotBinary(data)
-	}
-	return DecodeSnapshot(bytes.NewReader(data))
 }

@@ -2,9 +2,11 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"moas/internal/bgp"
 	"moas/internal/kernel"
 )
 
@@ -19,19 +21,16 @@ func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	return k.Snapshot()
 }
 
-// TestBinarySnapshotRoundTrip: the binary codec must reproduce the exact
-// snapshot image, and the sniffing decoder must accept both encodings of
-// the same snapshot.
+// TestBinarySnapshotRoundTrip: the binary codec and the JSON render must
+// both reproduce the exact snapshot image, and the binary form must be
+// the smaller one.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	snap := midRunSnapshot(t)
 	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(snap.Log) == 0 {
 		t.Fatalf("fixture snapshot too empty to prove anything: %+v", snap)
 	}
 
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := kernel.AppendSnapshotBinary(nil, snap)
 	decoded, err := kernel.DecodeSnapshotBinary(bin)
 	if err != nil {
 		t.Fatal(err)
@@ -40,21 +39,19 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("binary round trip changed the snapshot:\nwant %+v\n got %+v", snap, decoded)
 	}
 
-	var js bytes.Buffer
-	if err := kernel.EncodeSnapshot(&js, snap); err != nil {
+	js, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bin) >= js.Len() {
-		t.Fatalf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
+	if len(bin) >= len(js) {
+		t.Fatalf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", len(bin), len(js))
 	}
-	for name, blob := range map[string][]byte{"binary": bin, "json": js.Bytes()} {
-		sniffed, err := kernel.DecodeSnapshotAuto(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("sniffing decode of %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(snap, sniffed) {
-			t.Fatalf("sniffing decode of %s changed the snapshot", name)
-		}
+	var thawed kernel.Snapshot
+	if err := json.Unmarshal(js, &thawed); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, &thawed) {
+		t.Fatalf("JSON round trip changed the snapshot:\nwant %+v\n got %+v", snap, &thawed)
 	}
 }
 
@@ -68,11 +65,7 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 	uninterrupted := kernel.New(opts)
 	drive(uninterrupted, all)
 
-	bin, err := kernel.AppendSnapshotBinary(nil, midRunSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := kernel.DecodeSnapshotAuto(bytes.NewReader(bin))
+	snap, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, midRunSnapshot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +86,7 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 // never panic.
 func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	snap := midRunSnapshot(t)
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := kernel.AppendSnapshotBinary(nil, snap)
 
 	if _, err := kernel.DecodeSnapshotBinary(append(bytes.Clone(bin), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
@@ -114,28 +104,49 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	}
 
 	snap.Version = 99
-	futureBin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kernel.DecodeSnapshotBinary(futureBin); err == nil {
+	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap)); err == nil {
 		t.Fatal("version-99 binary snapshot accepted")
 	}
 }
 
 // TestRestoreRejectsBogusClass: a snapshot carrying a class byte past the
 // known classes must fail restore up front — deferring it would panic in
-// the first CloseDay's ClassDays indexing.
+// the first CloseDay's ClassDays indexing. The same goes for the other
+// outside-input damage restore guards against: a prefix listed twice
+// (the later entry would silently replace the earlier one, leaving e.g.
+// an "active" conflict with one origin) and the zero prefix a JSON entry
+// without "prefix" decodes to.
 func TestRestoreRejectsBogusClass(t *testing.T) {
-	snap := midRunSnapshot(t)
-	snap.Prefixes[0].Class = 200
-	if err := kernel.New(kernel.Options{}).Restore(snap); err == nil {
-		t.Fatal("restore accepted class 200")
+	p := bgp.MustParsePrefix("10.0.0.0/24")
+	cases := map[string]func(s *kernel.Snapshot){
+		"class 200":       func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
+		"event class 200": func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
+		"repeated prefix": func(s *kernel.Snapshot) {
+			s.Prefixes = append(s.Prefixes,
+				kernel.PrefixSnap{Prefix: p, Origins: []bgp.ASN{1, 2}},
+				kernel.PrefixSnap{Prefix: p, Origins: []bgp.ASN{1}})
+		},
+		"repeated conflict": func(s *kernel.Snapshot) { s.Conflicts = append(s.Conflicts, s.Conflicts[0]) },
+		"zero state prefix": func(s *kernel.Snapshot) { s.Prefixes[0].Prefix = bgp.Prefix{} },
+		"zero conflict prefix": func(s *kernel.Snapshot) {
+			s.Conflicts[0].Prefix = bgp.Prefix{}
+		},
+		"zero event prefix": func(s *kernel.Snapshot) { s.Log[0].Prefix = bgp.Prefix{} },
+	}
+	for name, damage := range cases {
+		snap := midRunSnapshot(t)
+		damage(snap)
+		if err := kernel.New(kernel.Options{KeepLog: true}).Restore(snap); err == nil {
+			t.Errorf("restore accepted a snapshot with %s", name)
+		}
 	}
 
-	snap = midRunSnapshot(t)
-	snap.Log[0].PrevClass = 200
-	if err := kernel.New(kernel.Options{KeepLog: true}).Restore(snap); err == nil {
-		t.Fatal("restore accepted event class 200")
+	// A JSON entry without "prefix" leaves the zero Prefix behind.
+	var snap kernel.Snapshot
+	if err := json.Unmarshal([]byte(`{"version":1,"prefixes":[{"origins":[1,2]}]}`), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := kernel.New(kernel.Options{}).Restore(&snap); err == nil {
+		t.Error("restore accepted a JSON state without a prefix")
 	}
 }

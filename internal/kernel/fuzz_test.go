@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,37 +20,41 @@ import (
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
+	bin := kernel.AppendSnapshotBinary(nil, snap)
+	js, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := kernel.EncodeSnapshot(&js, snap); err != nil {
-		t.Fatal(err)
-	}
+	js = append(js, '\n')
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/2] ^= 0x40
 	return map[string][]byte{
 		"binary":           bin,
-		"json":             js.Bytes(),
+		"json":             js,
 		"binary-truncated": bin[:len(bin)/2],
-		"json-truncated":   js.Bytes()[:js.Len()/2],
+		"json-truncated":   js[:len(js)/2],
 		"binary-flipped":   flipped,
 		"empty":            {},
 	}
 }
 
 // FuzzSnapshotRestore is the snapshot surface's robustness claim: any
-// byte string fed to the sniffing decoder either errors or yields a
-// snapshot that restores into a fully usable kernel — no panic, no
-// deferred crash in CloseDay/Apply/Snapshot, and a re-encode that
-// succeeds in both codecs.
+// byte string — parsed as the binary form when it carries the magic, as
+// the JSON render otherwise — either errors or yields a snapshot that
+// restores into a fully usable kernel: no panic, no deferred crash in
+// CloseDay/Apply/Snapshot, and a re-encode that succeeds in both forms.
 func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := kernel.DecodeSnapshotAuto(bytes.NewReader(data))
+		s := new(kernel.Snapshot)
+		var err error
+		if bytes.HasPrefix(data, []byte("MSNP")) {
+			s, err = kernel.DecodeSnapshotBinary(data)
+		} else {
+			err = json.Unmarshal(data, s)
+		}
 		if err != nil {
 			return
 		}
@@ -67,11 +72,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 		})
 		k.AppendSpans(nil)
 		out := k.Snapshot()
-		if _, err := kernel.AppendSnapshotBinary(nil, out); err != nil {
-			t.Fatalf("restored kernel re-encodes with error: %v", err)
+		if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, out)); err != nil {
+			t.Fatalf("restored kernel's snapshot does not round-trip: %v", err)
 		}
-		if err := kernel.EncodeSnapshot(&bytes.Buffer{}, out); err != nil {
-			t.Fatalf("restored kernel re-encodes to JSON with error: %v", err)
+		if _, err := json.Marshal(out); err != nil {
+			t.Fatalf("restored kernel renders to JSON with error: %v", err)
 		}
 	})
 }

@@ -1,10 +1,10 @@
 package kernel
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/core"
@@ -17,10 +17,11 @@ const SnapshotVersion = 1
 
 // Snapshot is the serializable image of a kernel: every tracked prefix
 // state, the cross-day conflict registry, the closed activation spans and
-// the event accounting. It is plain data — JSON-encodable directly or via
-// Encode/DecodeSnapshot — and is prefix-disjoint mergeable (Merge), which
-// is how the sharded engine composes one engine-wide snapshot out of its
-// per-shard kernels.
+// the event accounting. It is plain typed data: AppendSnapshotBinary is
+// its wire form, its JSON rendering (prefixes as "addr/len" text) is
+// what the HTTP checkpoint payload carries, and it is prefix-disjoint
+// mergeable (Merge), which is how the sharded engine composes one
+// engine-wide snapshot out of its per-shard kernels.
 type Snapshot struct {
 	Version int `json:"version"`
 	// Prefixes holds one entry per tracked prefix, sorted by prefix.
@@ -39,7 +40,7 @@ type Snapshot struct {
 // PrefixSnap is one prefix's serialized state. Class values are the
 // core.Class constants, which are version-stable by construction.
 type PrefixSnap struct {
-	Prefix  string      `json:"prefix"`
+	Prefix  bgp.Prefix  `json:"prefix"`
 	Origins []bgp.ASN   `json:"origins,omitempty"`
 	Class   uint8       `json:"class,omitempty"`
 	Seq     uint64      `json:"seq,omitempty"`
@@ -49,12 +50,12 @@ type PrefixSnap struct {
 
 // ConflictSnap is one registry record's serialized form.
 type ConflictSnap struct {
-	Prefix       string    `json:"prefix"`
-	FirstDay     int       `json:"first_day"`
-	LastDay      int       `json:"last_day"`
-	DaysObserved int       `json:"days_observed"`
-	OriginsEver  []bgp.ASN `json:"origins_ever"`
-	ClassDays    []int     `json:"class_days"`
+	Prefix       bgp.Prefix `json:"prefix"`
+	FirstDay     int        `json:"first_day"`
+	LastDay      int        `json:"last_day"`
+	DaysObserved int        `json:"days_observed"`
+	OriginsEver  []bgp.ASN  `json:"origins_ever"`
+	ClassDays    []int      `json:"class_days"`
 }
 
 // SpanSnap is one closed activation span.
@@ -65,14 +66,14 @@ type SpanSnap struct {
 
 // EventSnap is one lifecycle event's serialized form.
 type EventSnap struct {
-	Type        uint8     `json:"type"`
-	Day         int       `json:"day"`
-	Seq         uint64    `json:"seq"`
-	Prefix      string    `json:"prefix"`
-	Origins     []bgp.ASN `json:"origins,omitempty"`
-	PrevOrigins []bgp.ASN `json:"prev_origins,omitempty"`
-	Class       uint8     `json:"class,omitempty"`
-	PrevClass   uint8     `json:"prev_class,omitempty"`
+	Type        uint8      `json:"type"`
+	Day         int        `json:"day"`
+	Seq         uint64     `json:"seq"`
+	Prefix      bgp.Prefix `json:"prefix"`
+	Origins     []bgp.ASN  `json:"origins,omitempty"`
+	PrevOrigins []bgp.ASN  `json:"prev_origins,omitempty"`
+	Class       uint8      `json:"class,omitempty"`
+	PrevClass   uint8      `json:"prev_class,omitempty"`
 }
 
 func eventToSnap(ev *Event) EventSnap {
@@ -80,7 +81,7 @@ func eventToSnap(ev *Event) EventSnap {
 		Type:        uint8(ev.Type),
 		Day:         ev.Day,
 		Seq:         ev.Seq,
-		Prefix:      ev.Prefix.String(),
+		Prefix:      ev.Prefix,
 		Origins:     ev.Origins,
 		PrevOrigins: ev.PrevOrigins,
 		Class:       uint8(ev.Class),
@@ -98,10 +99,18 @@ func validClass(c uint8) error {
 	return nil
 }
 
+// validPrefix rejects the zero Prefix — what a JSON snapshot entry that
+// omits "prefix" decodes to.
+func validPrefix(p bgp.Prefix, what string) error {
+	if !p.IsValid() {
+		return fmt.Errorf("kernel: snapshot %s without a valid prefix", what)
+	}
+	return nil
+}
+
 func snapToEvent(s *EventSnap) (Event, error) {
-	p, err := bgp.ParsePrefix(s.Prefix)
-	if err != nil {
-		return Event{}, fmt.Errorf("kernel: snapshot event prefix %q: %w", s.Prefix, err)
+	if err := validPrefix(s.Prefix, "event"); err != nil {
+		return Event{}, err
 	}
 	if err := validClass(s.Class); err != nil {
 		return Event{}, err
@@ -113,7 +122,7 @@ func snapToEvent(s *EventSnap) (Event, error) {
 		Type:        EventType(s.Type),
 		Day:         s.Day,
 		Seq:         s.Seq,
-		Prefix:      p,
+		Prefix:      s.Prefix,
 		Origins:     s.Origins,
 		PrevOrigins: s.PrevOrigins,
 		Class:       core.Class(s.Class),
@@ -121,28 +130,51 @@ func snapToEvent(s *EventSnap) (Event, error) {
 	}, nil
 }
 
+// tail returns the last n elements of s with capacity clipped to them,
+// or nil when n is 0 — the form a field carved out of a shared backing
+// array needs to compare equal to a decoded one.
+func tail[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return s[len(s)-n : len(s) : len(s)]
+}
+
 // Snapshot serializes the kernel's complete state. The result shares no
 // memory with the kernel (event slices are copied), so it stays valid
-// while the kernel keeps running.
+// while the kernel keeps running. Every state's origins and history are
+// carved out of one backing array each, so a snapshot costs a handful of
+// allocations rather than several per prefix.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
-	for p, st := range k.states {
-		ps := PrefixSnap{
-			Prefix:  p.String(),
-			Origins: append([]bgp.ASN(nil), st.origins...),
+	nOrigins, nHistory := 0, 0
+	for _, st := range k.states {
+		nOrigins += len(st.origins)
+		nHistory += len(st.history)
+	}
+	origins := make([]bgp.ASN, 0, nOrigins)
+	history := make([]EventSnap, 0, nHistory)
+	keys := slices.SortedFunc(maps.Keys(k.states), bgp.Prefix.Compare)
+	s.Prefixes = slices.Grow(s.Prefixes, len(keys))
+	for _, p := range keys {
+		st := k.states[p]
+		origins = append(origins, st.origins...)
+		for i := range st.history {
+			history = append(history, eventToSnap(&st.history[i]))
+		}
+		s.Prefixes = append(s.Prefixes, PrefixSnap{
+			Prefix:  p,
+			Origins: tail(origins, len(st.origins)),
 			Class:   uint8(st.class),
 			Seq:     st.seq,
 			Since:   st.since,
-		}
-		for i := range st.history {
-			ps.History = append(ps.History, eventToSnap(&st.history[i]))
-		}
-		s.Prefixes = append(s.Prefixes, ps)
+			History: tail(history, len(st.history)),
+		})
 	}
-	sort.Slice(s.Prefixes, func(i, j int) bool { return s.Prefixes[i].Prefix < s.Prefixes[j].Prefix })
+	s.Conflicts = slices.Grow(s.Conflicts, k.reg.Len())
 	for _, c := range k.reg.Conflicts() {
 		s.Conflicts = append(s.Conflicts, ConflictSnap{
-			Prefix:       c.Prefix.String(),
+			Prefix:       c.Prefix,
 			FirstDay:     c.FirstDay,
 			LastDay:      c.LastDay,
 			DaysObserved: c.DaysObserved,
@@ -153,6 +185,7 @@ func (k *Kernel) Snapshot() *Snapshot {
 	for _, sp := range k.closedSpans {
 		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: sp.Start, End: sp.End})
 	}
+	s.Log = slices.Grow(s.Log, len(k.log))
 	for i := range k.log {
 		s.Log = append(s.Log, eventToSnap(&k.log[i]))
 	}
@@ -162,7 +195,9 @@ func (k *Kernel) Snapshot() *Snapshot {
 // Restore loads a snapshot into an empty kernel (one fresh from New).
 // Histories longer than the kernel's HistoryCap are truncated to their
 // most recent events. Active conflicts are re-derived from origin-set
-// cardinality, the invariant the state machine maintains.
+// cardinality, the invariant the state machine maintains. Snapshots
+// arrive from outside the process, so a prefix listed twice — in
+// Prefixes or in Conflicts — is an error rather than a silent overwrite.
 func (k *Kernel) Restore(s *Snapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
@@ -172,12 +207,15 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	}
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		p, err := bgp.ParsePrefix(ps.Prefix)
-		if err != nil {
-			return fmt.Errorf("kernel: snapshot prefix %q: %w", ps.Prefix, err)
+		p := ps.Prefix
+		if err := validPrefix(p, "state"); err != nil {
+			return err
+		}
+		if _, dup := k.states[p]; dup {
+			return fmt.Errorf("kernel: snapshot lists prefix %v twice", p)
 		}
 		if err := validClass(ps.Class); err != nil {
-			return fmt.Errorf("kernel: snapshot prefix %s: %w", ps.Prefix, err)
+			return fmt.Errorf("kernel: snapshot prefix %v: %w", p, err)
 		}
 		st := &state{
 			origins: append([]bgp.ASN(nil), ps.Origins...),
@@ -189,6 +227,7 @@ func (k *Kernel) Restore(s *Snapshot) error {
 		if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
 			hist = hist[len(hist)-k.opts.HistoryCap:]
 		}
+		st.history = slices.Grow(st.history, len(hist))
 		for j := range hist {
 			ev, err := snapToEvent(&hist[j])
 			if err != nil {
@@ -203,19 +242,21 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	}
 	for i := range s.Conflicts {
 		cs := &s.Conflicts[i]
-		p, err := bgp.ParsePrefix(cs.Prefix)
-		if err != nil {
-			return fmt.Errorf("kernel: snapshot conflict prefix %q: %w", cs.Prefix, err)
+		if err := validPrefix(cs.Prefix, "conflict"); err != nil {
+			return err
+		}
+		if _, dup := k.reg.Get(cs.Prefix); dup {
+			return fmt.Errorf("kernel: snapshot lists conflict %v twice", cs.Prefix)
 		}
 		c := &core.Conflict{
-			Prefix:       p,
+			Prefix:       cs.Prefix,
 			FirstDay:     cs.FirstDay,
 			LastDay:      cs.LastDay,
 			DaysObserved: cs.DaysObserved,
 			OriginsEver:  append([]bgp.ASN(nil), cs.OriginsEver...),
 		}
 		if len(cs.ClassDays) > len(c.ClassDays) {
-			return fmt.Errorf("kernel: snapshot conflict %s has %d classes, want <= %d",
+			return fmt.Errorf("kernel: snapshot conflict %v has %d classes, want <= %d",
 				cs.Prefix, len(cs.ClassDays), len(c.ClassDays))
 		}
 		copy(c.ClassDays[:], cs.ClassDays)
@@ -226,6 +267,7 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	}
 	k.events = s.Events
 	if k.opts.KeepLog {
+		k.log = slices.Grow(k.log, len(s.Log))
 		for i := range s.Log {
 			ev, err := snapToEvent(&s.Log[i])
 			if err != nil {
@@ -239,8 +281,9 @@ func (k *Kernel) Restore(s *Snapshot) error {
 
 // Merge combines prefix-disjoint snapshots (the sharded engine's case,
 // where each shard's kernel owns a hash partition of the prefix space)
-// into one. Prefix states and conflicts concatenate, spans concatenate,
-// event counts add, and logs merge into canonical order.
+// into one: prefix states and conflicts concatenate and sort by prefix,
+// spans concatenate, event counts add, and logs merge into canonical
+// order.
 func Merge(parts []*Snapshot) *Snapshot {
 	out := &Snapshot{Version: SnapshotVersion}
 	for _, p := range parts {
@@ -250,43 +293,16 @@ func Merge(parts []*Snapshot) *Snapshot {
 		out.Events += p.Events
 		out.Log = append(out.Log, p.Log...)
 	}
-	sort.Slice(out.Prefixes, func(i, j int) bool { return out.Prefixes[i].Prefix < out.Prefixes[j].Prefix })
-	sort.Slice(out.Conflicts, func(i, j int) bool { return out.Conflicts[i].Prefix < out.Conflicts[j].Prefix })
+	slices.SortFunc(out.Prefixes, func(a, b PrefixSnap) int { return a.Prefix.Compare(b.Prefix) })
+	slices.SortFunc(out.Conflicts, func(a, b ConflictSnap) int { return a.Prefix.Compare(b.Prefix) })
 	// Span order is semantically irrelevant but shard-partition dependent;
 	// sorting makes the merged snapshot — and so checkpoint bytes —
 	// canonical across shard counts.
-	sort.Slice(out.ClosedSpans, func(i, j int) bool {
-		if out.ClosedSpans[i].Start != out.ClosedSpans[j].Start {
-			return out.ClosedSpans[i].Start < out.ClosedSpans[j].Start
-		}
-		return out.ClosedSpans[i].End < out.ClosedSpans[j].End
+	slices.SortFunc(out.ClosedSpans, func(a, b SpanSnap) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
-	sort.Slice(out.Log, func(i, j int) bool {
-		a, b := &out.Log[i], &out.Log[j]
-		if a.Day != b.Day {
-			return a.Day < b.Day
-		}
-		if a.Prefix != b.Prefix {
-			return a.Prefix < b.Prefix
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(out.Log, func(a, b EventSnap) int {
+		return cmp.Or(cmp.Compare(a.Day, b.Day), a.Prefix.Compare(b.Prefix), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
-}
-
-// EncodeSnapshot writes the snapshot as JSON.
-func EncodeSnapshot(w io.Writer, s *Snapshot) error {
-	return json.NewEncoder(w).Encode(s)
-}
-
-// DecodeSnapshot reads a JSON snapshot and validates its version.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("kernel: decode snapshot: %w", err)
-	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
-	}
-	return &s, nil
 }

@@ -1,7 +1,7 @@
 package kernel_test
 
 import (
-	"bytes"
+	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
@@ -71,8 +71,8 @@ func sortedSpans(k *kernel.Kernel) []kernel.Span {
 	return spans
 }
 
-// TestSnapshotRoundTrip: checkpoint a kernel mid-run, serialize through
-// JSON, restore into a fresh kernel, finish the run on both — every
+// TestSnapshotRoundTrip: checkpoint a kernel mid-run, render it as
+// JSON (the HTTP checkpoint payload's form), restore into a fresh kernel, finish the run on both — every
 // observable (snapshot image, registry, spans, actives, event log) must
 // be identical to the uninterrupted kernel's.
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -84,16 +84,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	first := kernel.New(opts)
 	drive(first, all[:splitAt])
-	var buf bytes.Buffer
-	if err := kernel.EncodeSnapshot(&buf, first.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := kernel.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+	blob, err := json.Marshal(first.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var snap kernel.Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
 	restored := kernel.New(opts)
-	if err := restored.Restore(snap); err != nil {
+	if err := restored.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
 	drive(restored, all[splitAt:])
@@ -126,11 +126,7 @@ func TestSnapshotVersioning(t *testing.T) {
 	if err := kernel.New(kernel.Options{}).Restore(snap); err == nil {
 		t.Fatal("restore accepted a version-99 snapshot")
 	}
-	var buf bytes.Buffer
-	if err := kernel.EncodeSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kernel.DecodeSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap)); err == nil {
 		t.Fatal("decode accepted a version-99 snapshot")
 	}
 

@@ -129,7 +129,7 @@ func ReadScenarioCheckpoint(r io.Reader) (*ScenarioCheckpoint, error) {
 		if err := json.Unmarshal(meta, &ck); err != nil {
 			return nil, fmt.Errorf("serve: decode checkpoint envelope: %w", err)
 		}
-		eng, err := stream.DecodeCheckpoint(bytes.NewReader(engBytes))
+		eng, err := stream.DecodeCheckpointBinary(engBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -80,9 +80,10 @@ func (f *Fake) accept() {
 		f.mu.Lock()
 		if f.cur != nil {
 			f.cur.conn.Close() // one subscriber at a time; newest wins
+		} else {
+			close(f.curc) // nil→attached only: curc is replaced on a drop
 		}
 		f.cur = ws
-		close(f.curc)
 		f.mu.Unlock()
 		// Read loop: count subscriptions, answer pings (readMessage does),
 		// notice the drop.

@@ -3,27 +3,23 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/binenc"
 	"moas/internal/kernel"
 )
 
-// The binary checkpoint format — the full-archive-scale encoding of
-// Checkpoint. JSON stays the portable API form (the /checkpoint
-// endpoint's payload); this is what the auto-checkpoint loop writes to
-// disk, where route attribute blocks dominate and hex-in-JSON would
-// double them.
+// The binary checkpoint format — the one wire form of Checkpoint, which
+// the auto-checkpoint loop writes to disk inside serve's MSCK envelope.
+// Checkpoint holds typed values (prefixes, raw peer addresses, raw
+// attribute wire bytes), so encoding is a straight walk with nothing to
+// parse; the structs' JSON rendering is only the HTTP checkpoint payload.
 //
 // The container carries its own format version after the magic, separate
 // from the Checkpoint struct version it stores:
 //
-//	container v1 (legacy, decode-only):
+//	container v1 (legacy, read-only — older MSCK files hold it):
 //	  magic "MCKP" | uvarint struct version
 //	  frame: cursor — varint lastClosedDay, uvarint messages/ops/records
 //	  frame: kernel — the kernel snapshot in its own binary format
@@ -32,7 +28,7 @@ import (
 //	                  16-byte peer IP, uvarint peer AS,
 //	                  uvarint length + raw attribute wire bytes
 //
-//	container v2 (written by AppendCheckpointBinary):
+//	container v2 (the one AppendCheckpointBinary writes):
 //	  magic "MCKP" | uvarint 2 | uvarint struct version
 //	  frame: cursor — as v1
 //	  frame: kernel — as v1
@@ -45,105 +41,68 @@ import (
 //
 // v2 exploits the same redundancy the ingest interner does: a table's
 // routes share a small set of distinct attribute blocks, so each block is
-// written once and routes reference it by index — most of a v1
-// checkpoint's bytes were those blocks repeated per route. The v1 value
-// in the version slot can never be 2 (it was the struct version, fixed at
-// 1), so one uvarint read disambiguates the containers, and
-// DecodeCheckpoint still sniffs binary apart from JSON by the magic —
-// archives mixing JSON, v1 and v2 files all restore.
+// written once and routes reference it by index. Blocks are indexed by
+// content, not by slice identity: after a restore, the restore interner
+// and the live interner hold different pointers for the same block. The
+// v1 value in the version slot can never be 2 (it was the struct version,
+// fixed at 1), so one uvarint read disambiguates the containers.
 
-// checkpointMagic introduces a binary engine checkpoint. Like the kernel
-// snapshot magic, its first byte can never open a JSON document.
+// checkpointMagic introduces a binary engine checkpoint.
 var checkpointMagic = []byte("MCKP")
 
 // checkpointContainerV2 is the container format version introduced with
 // the shared attrs-block table.
 const checkpointContainerV2 = 2
 
-// appendCursor appends the cursor section shared by both containers.
-func appendCursor(ck *Checkpoint) []byte {
-	cur := binary.AppendVarint(nil, int64(ck.LastClosedDay))
-	cur = binary.AppendUvarint(cur, ck.Messages)
-	cur = binary.AppendUvarint(cur, ck.Ops)
-	return binary.AppendUvarint(cur, ck.Records)
-}
-
-// routesSizeHintV1 estimates the v1 route section's size (the bulk of a
-// full-scale checkpoint) so buffers grow once, not by doubling.
-func routesSizeHintV1(ck *Checkpoint) int {
-	n := 64
-	for i := range ck.Routes {
-		n += 24
-		for j := range ck.Routes[i].Routes {
-			n += 16 + 8 + len(ck.Routes[i].Routes[j].Attrs)/2
-		}
-	}
-	return n
-}
-
 // AppendCheckpointBinary appends ck's binary encoding — container v2,
-// with the shared attrs-block table — to dst. It fails on a checkpoint
-// whose hex fields do not decode (which Checkpoint never produces).
+// with the shared attrs-block table — to dst. It fails only on a
+// checkpoint without a kernel snapshot or with a peer address that is not
+// 16 bytes, neither of which Engine.Checkpoint produces.
 func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 	if ck.Kernel == nil {
 		return nil, fmt.Errorf("stream: checkpoint has no kernel snapshot")
 	}
-	ksec, err := kernel.AppendSnapshotBinary(nil, ck.Kernel)
-	if err != nil {
-		return nil, err
-	}
+	ksec := kernel.AppendSnapshotBinary(nil, ck.Kernel)
 
-	// First pass: the distinct attribute blocks, in first-use order, and
-	// the total route count (for the routes-section size hint).
-	blockIdx := make(map[string]uint64, 256)
-	var blocks []string
 	nroutes := 0
-	attrBytes := 0
 	for i := range ck.Routes {
-		for j := range ck.Routes[i].Routes {
-			nroutes++
-			a := ck.Routes[i].Routes[j].Attrs
-			if _, ok := blockIdx[a]; !ok {
-				blockIdx[a] = uint64(len(blocks))
-				blocks = append(blocks, a)
-				attrBytes += len(a) / 2
-			}
-		}
+		nroutes += len(ck.Routes[i].Routes)
 	}
-
-	asec := make([]byte, 0, attrBytes+4*len(blocks)+8)
-	asec = binary.AppendUvarint(asec, uint64(len(blocks)))
-	for _, a := range blocks {
-		asec = binary.AppendUvarint(asec, uint64(len(a)/2))
-		var herr error
-		if asec, herr = appendHexDecoded(asec, a); herr != nil {
-			return nil, fmt.Errorf("stream: encode attrs block %q: %w", a, herr)
-		}
-	}
-
+	// One pass: each route's block is looked up by content, and a block
+	// seen for the first time is appended to the table body.
+	blockIdx := make(map[string]uint64, 256)
+	var blocks []byte
 	rsec := make([]byte, 0, 24*len(ck.Routes)+20*nroutes+8)
 	rsec = binary.AppendUvarint(rsec, uint64(len(ck.Routes)))
 	for i := range ck.Routes {
 		pr := &ck.Routes[i]
-		p, perr := bgp.ParsePrefix(pr.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("stream: encode route prefix %q: %w", pr.Prefix, perr)
-		}
-		rsec = binenc.AppendPrefix(rsec, p)
+		rsec = binenc.AppendPrefix(rsec, pr.Prefix)
 		rsec = binary.AppendUvarint(rsec, uint64(len(pr.Routes)))
 		for j := range pr.Routes {
 			rt := &pr.Routes[j]
-			if len(rt.PeerIP) != 32 {
-				return nil, fmt.Errorf("stream: encode peer ip %q: bad 16-byte hex", rt.PeerIP)
+			if len(rt.PeerIP) != 16 {
+				return nil, fmt.Errorf("stream: encode peer ip for %v: %d bytes, want 16", pr.Prefix, len(rt.PeerIP))
 			}
-			var herr error
-			if rsec, herr = appendHexDecoded(rsec, rt.PeerIP); herr != nil {
-				return nil, fmt.Errorf("stream: encode peer ip %q: %w", rt.PeerIP, herr)
+			idx, ok := blockIdx[string(rt.Attrs)]
+			if !ok {
+				idx = uint64(len(blockIdx))
+				blockIdx[string(rt.Attrs)] = idx
+				blocks = binary.AppendUvarint(blocks, uint64(len(rt.Attrs)))
+				blocks = append(blocks, rt.Attrs...)
 			}
+			rsec = append(rsec, rt.PeerIP...)
 			rsec = binary.AppendUvarint(rsec, uint64(rt.PeerAS))
-			rsec = binary.AppendUvarint(rsec, blockIdx[rt.Attrs])
+			rsec = binary.AppendUvarint(rsec, idx)
 		}
 	}
+	asec := binary.AppendUvarint(make([]byte, 0, len(blocks)+binary.MaxVarintLen64), uint64(len(blockIdx)))
+	asec = append(asec, blocks...)
+
+	var cur []byte
+	cur = binary.AppendVarint(cur, int64(ck.LastClosedDay))
+	cur = binary.AppendUvarint(cur, ck.Messages)
+	cur = binary.AppendUvarint(cur, ck.Ops)
+	cur = binary.AppendUvarint(cur, ck.Records)
 
 	if dst == nil {
 		dst = make([]byte, 0, len(ksec)+len(asec)+len(rsec)+96)
@@ -151,130 +110,18 @@ func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 	dst = append(dst, checkpointMagic...)
 	dst = binary.AppendUvarint(dst, checkpointContainerV2)
 	dst = binary.AppendUvarint(dst, uint64(ck.Version))
-	dst = binenc.AppendFrame(dst, appendCursor(ck))
+	dst = binenc.AppendFrame(dst, cur)
 	dst = binenc.AppendFrame(dst, ksec)
 	dst = binenc.AppendFrame(dst, asec)
 	dst = binenc.AppendFrame(dst, rsec)
 	return dst, nil
 }
 
-// AppendCheckpointBinaryV1 appends the legacy container-v1 encoding
-// (attribute bytes repeated per route). Kept for the codec benchmark's
-// v1-vs-v2 comparison and the golden fixture generator; production
-// writers use AppendCheckpointBinary.
-func AppendCheckpointBinaryV1(dst []byte, ck *Checkpoint) ([]byte, error) {
-	if ck.Kernel == nil {
-		return nil, fmt.Errorf("stream: checkpoint has no kernel snapshot")
-	}
-	if ck.Version == checkpointContainerV2 {
-		// The v1 version slot doubles as the container discriminator; a
-		// struct version equal to the v2 marker would make the bytes
-		// ambiguous on decode.
-		return nil, fmt.Errorf("stream: struct version %d cannot be encoded in the v1 container", ck.Version)
-	}
-	ksec, err := kernel.AppendSnapshotBinary(nil, ck.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	routesHint := routesSizeHintV1(ck)
-	if dst == nil {
-		dst = make([]byte, 0, len(ksec)+routesHint+64)
-	}
-	dst = append(dst, checkpointMagic...)
-	dst = binary.AppendUvarint(dst, uint64(ck.Version))
-	dst = binenc.AppendFrame(dst, appendCursor(ck))
-	dst = binenc.AppendFrame(dst, ksec)
-
-	sec := make([]byte, 0, routesHint)
-	sec = binary.AppendUvarint(sec, uint64(len(ck.Routes)))
-	for i := range ck.Routes {
-		pr := &ck.Routes[i]
-		p, perr := bgp.ParsePrefix(pr.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("stream: encode route prefix %q: %w", pr.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
-		sec = binary.AppendUvarint(sec, uint64(len(pr.Routes)))
-		for j := range pr.Routes {
-			// Hex decodes land directly in the output buffer: at
-			// full-scan scale the route section dominates the encode, and
-			// per-route hex.DecodeString allocations would make the
-			// binary codec slower than the JSON one it exists to beat.
-			rt := &pr.Routes[j]
-			if len(rt.PeerIP) != 32 {
-				return nil, fmt.Errorf("stream: encode peer ip %q: bad 16-byte hex", rt.PeerIP)
-			}
-			var herr error
-			if sec, herr = appendHexDecoded(sec, rt.PeerIP); herr != nil {
-				return nil, fmt.Errorf("stream: encode peer ip %q: %w", rt.PeerIP, herr)
-			}
-			sec = binary.AppendUvarint(sec, uint64(rt.PeerAS))
-			sec = binary.AppendUvarint(sec, uint64(len(rt.Attrs)/2))
-			if sec, herr = appendHexDecoded(sec, rt.Attrs); herr != nil {
-				return nil, fmt.Errorf("stream: encode attrs for %s: %w", pr.Prefix, herr)
-			}
-		}
-	}
-	dst = binenc.AppendFrame(dst, sec)
-	return dst, nil
-}
-
-// unhexTable maps an ASCII byte to its hex value, -1 for non-hex — a
-// table lookup instead of branches, because at full-scan scale the
-// encoder pushes megabytes of hex through this path per checkpoint.
-var unhexTable = func() (t [256]int8) {
-	for i := range t {
-		t[i] = -1
-	}
-	for c := byte('0'); c <= '9'; c++ {
-		t[c] = int8(c - '0')
-	}
-	for c := byte('a'); c <= 'f'; c++ {
-		t[c] = int8(c-'a') + 10
-	}
-	for c := byte('A'); c <= 'F'; c++ {
-		t[c] = int8(c-'A') + 10
-	}
-	return t
-}()
-
-// appendHexDecoded appends the raw decoding of a hex string to dst
-// without intermediate allocation.
-func appendHexDecoded(dst []byte, s string) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("odd-length hex")
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(s)/2)[:n+len(s)/2]
-	for i, j := 0, n; i < len(s); i, j = i+2, j+1 {
-		hi, lo := unhexTable[s[i]], unhexTable[s[i+1]]
-		if hi < 0 || lo < 0 {
-			return nil, fmt.Errorf("bad hex byte at %d", i)
-		}
-		dst[j] = byte(hi)<<4 | byte(lo)
-	}
-	return dst, nil
-}
-
-// EncodeCheckpointBinary writes the checkpoint in the binary format.
-func EncodeCheckpointBinary(w io.Writer, ck *Checkpoint) error {
-	buf, err := AppendCheckpointBinary(nil, ck)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// EncodeCheckpointJSON writes the checkpoint as compact JSON — the
-// portable, inspectable form the HTTP checkpoint endpoint also serves.
-func EncodeCheckpointJSON(w io.Writer, ck *Checkpoint) error {
-	return json.NewEncoder(w).Encode(ck)
-}
-
 // DecodeCheckpointBinary parses a binary checkpoint — either container
 // version — and validates its struct version. Hostile input errors; it
-// never panics or over-allocates.
+// never panics or over-allocates. The result borrows from data: peer
+// addresses and attribute blocks alias it (v2 routes of one block share
+// a slice), so data must stay unmodified while the checkpoint is in use.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, checkpointMagic) {
 		return nil, fmt.Errorf("stream: not a binary checkpoint (bad magic)")
@@ -312,13 +159,13 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	ck.Kernel = snap
 
 	// v2: the shared attrs-block table the route entries index into.
-	var blocks []string
+	var blocks []HexBytes
 	if v2 {
 		asec := r.Frame()
 		nb := asec.Count(1)
-		blocks = make([]string, nb)
+		blocks = make([]HexBytes, nb)
 		for i := 0; i < nb; i++ {
-			blocks[i] = hex.EncodeToString(asec.Bytes(asec.Count(1)))
+			blocks[i] = asec.Bytes(asec.Count(1))
 		}
 		if err := binenc.FirstErr(asec, r); err != nil {
 			return nil, fmt.Errorf("stream: decode checkpoint attrs table: %w", err)
@@ -327,14 +174,19 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 
 	sec := r.Frame()
 	// A route entry is at least 3 bytes (2-byte prefix, zero routes).
-	n := sec.Count(3)
-	for i := 0; i < n; i++ {
-		pr := PrefixRoutes{Prefix: sec.Prefix().String()}
+	if n := sec.Count(3); n > 0 {
+		ck.Routes = make([]PrefixRoutes, n)
+	}
+	for i := range ck.Routes {
+		pr := &ck.Routes[i]
+		pr.Prefix = sec.Prefix()
 		// Minimum bytes per route: 16-byte IP + AS + (v1: empty attrs
 		// length | v2: block index) = 18 either way.
 		nr := sec.Count(18)
-		for j := 0; j < nr; j++ {
-			rt := PeerRouteSnap{PeerIP: hex.EncodeToString(sec.Bytes(16))}
+		pr.Routes = make([]PeerRouteSnap, nr)
+		for j := range pr.Routes {
+			rt := &pr.Routes[j]
+			rt.PeerIP = sec.Bytes(16)
 			rt.PeerAS = bgp.ASN(sec.Uvarint())
 			if v2 {
 				idx := sec.Uvarint()
@@ -345,11 +197,9 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 					rt.Attrs = blocks[idx]
 				}
 			} else {
-				rt.Attrs = hex.EncodeToString(sec.Bytes(sec.Count(1)))
+				rt.Attrs = sec.Bytes(sec.Count(1))
 			}
-			pr.Routes = append(pr.Routes, rt)
 		}
-		ck.Routes = append(ck.Routes, pr)
 	}
 	if err := binenc.FirstErr(sec, r); err != nil {
 		return nil, fmt.Errorf("stream: decode checkpoint routes: %w", err)
@@ -358,27 +208,4 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("stream: %d trailing bytes after binary checkpoint", r.Len())
 	}
 	return ck, nil
-}
-
-// DecodeCheckpoint reads an engine checkpoint in either format, sniffing
-// the content: the binary magic selects the binary codec (both container
-// versions), anything else parses as JSON. Restore-side sniffing is what
-// lets checkpoint archives mix generations — a directory of old JSON or
-// v1 binary checkpoints keeps working after the writer moves on.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("stream: read checkpoint: %w", err)
-	}
-	if bytes.HasPrefix(data, checkpointMagic) {
-		return DecodeCheckpointBinary(data)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	return &ck, nil
 }

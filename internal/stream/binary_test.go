@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -47,11 +49,9 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 	return e.Checkpoint()
 }
 
-// TestBinaryCheckpointRoundTrip: both binary containers must reproduce
-// the exact checkpoint image, the sniffing decoder must accept all three
-// encodings, and each binary generation must actually be smaller than
-// what it replaces (the reason it exists) — v1 beats JSON, v2's shared
-// attrs-block table beats v1.
+// TestBinaryCheckpointRoundTrip: the binary codec and the JSON render
+// must both reproduce the exact checkpoint image, and the binary form —
+// the reason it exists — must be the smaller one.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
 	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(ScenarioCalendar(sc).Days)/2)
@@ -63,28 +63,26 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binV1, err := AppendCheckpointBinaryV1(nil, ck)
+	js, err := json.Marshal(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := EncodeCheckpointJSON(&js, ck); err != nil {
+	if len(bin) >= len(js) {
+		t.Fatalf("binary checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(bin), len(js))
+	}
+	decoded, err := DecodeCheckpointBinary(bin)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(binV1) >= js.Len() {
-		t.Fatalf("v1 binary checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(binV1), js.Len())
+	if !reflect.DeepEqual(ck, decoded) {
+		t.Fatal("binary round trip changed the checkpoint")
 	}
-	if len(bin) >= len(binV1) {
-		t.Fatalf("v2 binary checkpoint (%d bytes) not smaller than v1 (%d bytes)", len(bin), len(binV1))
+	var thawed Checkpoint
+	if err := json.Unmarshal(js, &thawed); err != nil {
+		t.Fatal(err)
 	}
-	for name, blob := range map[string][]byte{"binary": bin, "binary-v1": binV1, "json": js.Bytes()} {
-		decoded, err := DecodeCheckpoint(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("sniffing decode of %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(ck, decoded) {
-			t.Fatalf("sniffing decode of %s changed the checkpoint", name)
-		}
+	if !reflect.DeepEqual(ck, &thawed) {
+		t.Fatal("JSON round trip changed the checkpoint")
 	}
 }
 
@@ -101,7 +99,7 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thawed, err := DecodeCheckpoint(bytes.NewReader(bin))
+	thawed, err := DecodeCheckpointBinary(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +134,38 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
-// panic — in both binary containers.
+// panic — in both binary containers: v2 as the writer produces it, and
+// the committed read-only v1 fixture.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	ck := tinyCheckpoint(t)
-	encoders := map[string]func([]byte, *Checkpoint) ([]byte, error){
-		"v2": AppendCheckpointBinary,
-		"v1": AppendCheckpointBinaryV1,
+	v2, err := AppendCheckpointBinary(nil, ck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, enc := range encoders {
-		t.Run(name, func(t *testing.T) {
-			bin, err := enc(nil, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
+	future := *ck
+	future.Version = 99
+	v2Future, err := AppendCheckpointBinary(nil, &future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(goldenBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v1 keeps the struct version in the byte after the magic.
+	v1Future := bytes.Clone(v1)
+	v1Future[len(checkpointMagic)] = 99
 
+	containers := map[string]struct{ bin, future []byte }{
+		"v2": {v2, v2Future},
+		"v1": {v1, v1Future},
+	}
+	for name, c := range containers {
+		t.Run(name, func(t *testing.T) {
+			bin := c.bin
+			if decoded, err := DecodeCheckpointBinary(bin); err != nil || len(decoded.Routes) == 0 {
+				t.Fatalf("undamaged checkpoint unusable: %v", err)
+			}
 			if _, err := DecodeCheckpointBinary(append(bytes.Clone(bin), 0x01)); err == nil {
 				t.Fatal("trailing garbage accepted")
 			}
@@ -163,25 +179,9 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 			if _, err := DecodeCheckpointBinary(bad); err == nil {
 				t.Fatal("corrupt magic accepted")
 			}
-
-			future := *ck
-			future.Version = 99
-			futureBin, err := enc(nil, &future)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeCheckpointBinary(futureBin); err == nil {
+			if _, err := DecodeCheckpointBinary(c.future); err == nil {
 				t.Fatal("version-99 binary checkpoint accepted")
 			}
 		})
-	}
-
-	// A v2 route referencing past the attrs table must error, not panic.
-	bin, err := AppendCheckpointBinary(nil, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded, err := DecodeCheckpointBinary(bin); err != nil || len(decoded.Routes) == 0 {
-		t.Fatalf("fixture v2 checkpoint unusable: %v", err)
 	}
 }

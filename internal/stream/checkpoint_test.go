@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"moas/internal/analysis"
+	"moas/internal/bgp"
 )
 
 // sortSpans orders spans for multiset comparison (shard iteration order
@@ -154,7 +155,11 @@ func TestCheckpointOfFinishedEngine(t *testing.T) {
 }
 
 // TestCheckpointVersionRejected: a future-version checkpoint must not
-// restore.
+// restore, and neither may the other outside-input damage restore
+// guards against — a prefix listed twice (which would orphan the first
+// route list's arena nodes or overwrite kernel state), the zero prefix a
+// JSON entry without "prefix" decodes to, a peer address that is not 16
+// bytes, and an attribute block that does not decode.
 func TestCheckpointVersionRejected(t *testing.T) {
 	e := New(Config{Shards: 1})
 	e.Close()
@@ -162,5 +167,29 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	ck.Version = 99
 	if _, err := NewFromCheckpoint(Config{Shards: 1}, ck); err == nil {
 		t.Fatal("restore accepted a version-99 checkpoint")
+	}
+
+	cases := map[string]func(ck *Checkpoint){
+		"repeated route prefix": func(ck *Checkpoint) {
+			dup := ck.Routes[0]
+			dup.Routes = dup.Routes[:1]
+			ck.Routes = append(ck.Routes, dup)
+		},
+		"repeated kernel prefix": func(ck *Checkpoint) {
+			ck.Kernel.Prefixes = append(ck.Kernel.Prefixes, ck.Kernel.Prefixes[0])
+		},
+		"zero route prefix":  func(ck *Checkpoint) { ck.Routes[0].Prefix = bgp.Prefix{} },
+		"zero kernel prefix": func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Prefix = bgp.Prefix{} },
+		"short peer ip":      func(ck *Checkpoint) { ck.Routes[0].Routes[0].PeerIP = HexBytes{1, 2, 3, 4} },
+		"bad attrs":          func(ck *Checkpoint) { ck.Routes[0].Routes[0].Attrs = HexBytes{0x40, 0x01} },
+	}
+	for name, damage := range cases {
+		ck := tinyCheckpoint(t)
+		damage(ck)
+		e, err := NewFromCheckpoint(Config{Shards: 2}, ck)
+		if err == nil {
+			e.Close()
+			t.Errorf("restore accepted a checkpoint with %s", name)
+		}
 	}
 }

@@ -161,11 +161,11 @@ func TestDecodeWorkerInvariance(t *testing.T) {
 	cal := ScenarioCalendar(sc)
 
 	encode := func(e *Engine) []byte {
-		var buf bytes.Buffer
-		if err := EncodeCheckpointBinary(&buf, e.Checkpoint()); err != nil {
+		buf, err := AppendCheckpointBinary(nil, e.Checkpoint())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf
 	}
 
 	want := replayAll(t, Config{Shards: 3, DecodeWorkers: 1})
@@ -231,14 +231,15 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
 	}
-	var wantCk, gotCk bytes.Buffer
-	if err := EncodeCheckpointBinary(&wantCk, want.Checkpoint()); err != nil {
+	wantCk, err := AppendCheckpointBinary(nil, want.Checkpoint())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeCheckpointBinary(&gotCk, restored.Checkpoint()); err != nil {
+	gotCk, err := AppendCheckpointBinary(nil, restored.Checkpoint())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wantCk.Bytes(), gotCk.Bytes()) {
+	if !bytes.Equal(wantCk, gotCk) {
 		t.Fatal("resumed checkpoint differs byte-for-byte from uninterrupted")
 	}
 }

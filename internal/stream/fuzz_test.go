@@ -2,17 +2,20 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// checkpointCorpusSeeds returns the fuzz seed inputs: a real mid-archive
-// checkpoint in every encoding (JSON, binary container v1, binary
-// container v2 with the shared attrs table) plus damaged variants. The
-// same bytes are committed under testdata/fuzz/FuzzCheckpointRestore
-// (see TestGenerateCheckpointFuzzCorpus).
+// checkpointCorpusSeeds returns the fuzz seed inputs: a real checkpoint
+// in every form restore reads (the JSON render, binary container v2 with
+// the shared attrs table, and legacy container v1 — taken from the
+// committed golden fixture, since nothing writes v1 any more) plus
+// damaged variants. The same bytes are committed under
+// testdata/fuzz/FuzzCheckpointRestore (see
+// TestGenerateCheckpointFuzzCorpus).
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	ck := tinyCheckpoint(t)
@@ -20,14 +23,15 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binV1, err := AppendCheckpointBinaryV1(nil, ck)
+	binV1, err := os.ReadFile(goldenBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := EncodeCheckpointJSON(&js, ck); err != nil {
+	js, err := json.Marshal(ck)
+	if err != nil {
 		t.Fatal(err)
 	}
+	js = append(js, '\n')
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/3] ^= 0x10
 	flippedV1 := bytes.Clone(binV1)
@@ -35,10 +39,10 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"binary":              bin,
 		"binary-v1":           binV1,
-		"json":                js.Bytes(),
+		"json":                js,
 		"binary-truncated":    bin[:len(bin)/2],
 		"binary-v1-truncated": binV1[:len(binV1)/2],
-		"json-truncated":      js.Bytes()[:js.Len()/2],
+		"json-truncated":      js[:len(js)/2],
 		"binary-flipped":      flipped,
 		"binary-v1-flipped":   flippedV1,
 		"empty":               {},
@@ -46,16 +50,23 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 }
 
 // FuzzCheckpointRestore is the checkpoint surface's robustness claim:
-// any byte string fed to the sniffing decoder either errors or yields a
-// checkpoint that NewFromCheckpoint restores into a fully usable engine
-// (queries, spans, a re-checkpoint in both codecs) — or rejects, without
-// panicking or leaking shard goroutines either way.
+// any byte string — decoded as binary when it carries the magic, as the
+// JSON render (the POST /scenarios checkpoint payload) otherwise — either
+// errors or yields a checkpoint that NewFromCheckpoint restores into a
+// fully usable engine (queries, spans, a re-checkpoint in both forms) —
+// or rejects, without panicking or leaking shard goroutines either way.
 func FuzzCheckpointRestore(f *testing.F) {
 	for _, seed := range checkpointCorpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
+		ck := new(Checkpoint)
+		var err error
+		if bytes.HasPrefix(data, checkpointMagic) {
+			ck, err = DecodeCheckpointBinary(data)
+		} else {
+			err = json.Unmarshal(data, ck)
+		}
 		if err != nil {
 			return
 		}
@@ -68,11 +79,15 @@ func FuzzCheckpointRestore(f *testing.F) {
 		e.ActiveConflicts()
 		e.Spans()
 		out := e.Checkpoint()
-		if _, err := AppendCheckpointBinary(nil, out); err != nil {
+		bin, err := AppendCheckpointBinary(nil, out)
+		if err != nil {
 			t.Fatalf("restored engine re-encodes with error: %v", err)
 		}
-		if err := EncodeCheckpointJSON(&bytes.Buffer{}, out); err != nil {
-			t.Fatalf("restored engine re-encodes to JSON with error: %v", err)
+		if _, err := DecodeCheckpointBinary(bin); err != nil {
+			t.Fatalf("restored engine's checkpoint does not round-trip: %v", err)
+		}
+		if _, err := json.Marshal(out); err != nil {
+			t.Fatalf("restored engine renders to JSON with error: %v", err)
 		}
 	})
 }
