@@ -48,16 +48,22 @@ benchall:
 
 # profile replays the internet-scale synth corpus (BenchmarkSynthReplay,
 # the PR 7 differential-oracle generator at 1M prefixes) under the CPU
-# profiler and prints the top-10 cumulative functions — the quickest
-# answer to "where does replay time actually go". cpu.pprof and the test
-# binary stay on disk for interactive `go tool pprof stream.test
+# profiler and prints the top-10 functions twice: cumulative, the
+# quickest answer to "where does replay time actually go", and flat, which
+# names the leaf costs (map probes such as matchH2, memclr, cache-missing
+# loads) the cumulative view buries under their callers. The generator
+# runs before the benchmark timers but inside the profile. cpu.pprof and
+# the test binary stay on disk for interactive `go tool pprof stream.test
 # cpu.pprof`; PROFILE.txt is the text summary CI appends to the job
-# summary.
+# summary. (Redirect-then-cat, as in bench: a pipe would hide a failing
+# pprof run.)
 PROFILE_TIME ?= 1x
 profile:
 	$(GO) test -run XXX -bench 'BenchmarkSynthReplay' -benchtime $(PROFILE_TIME) \
 		-cpu $(BENCH_CPU) -cpuprofile cpu.pprof -o stream.test ./internal/stream
-	$(GO) tool pprof -top -nodecount=10 -cum stream.test cpu.pprof | tee PROFILE.txt
+	$(GO) tool pprof -top -nodecount=10 -cum stream.test cpu.pprof > PROFILE.txt
+	$(GO) tool pprof -top -nodecount=10 stream.test cpu.pprof >> PROFILE.txt
+	@cat PROFILE.txt
 
 # fuzz-smoke briefly live-fuzzes the snapshot/checkpoint restore surface
 # on top of the committed seed corpus (testdata/fuzz). go test -fuzz

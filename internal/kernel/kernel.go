@@ -14,6 +14,7 @@ package kernel
 import (
 	"sort"
 
+	"moas/internal/arena"
 	"moas/internal/bgp"
 	"moas/internal/core"
 )
@@ -104,9 +105,17 @@ type Obs struct {
 	Class   core.Class
 }
 
-// state is one prefix's assessed conflict state.
-type state struct {
+// slot is one tracked prefix: its assessed conflict state, its place in
+// the active set and the caller-owned route-list head, in one 96-byte
+// element of the kernel's chunked slot table, so an op touches one table
+// entry for all three. The fields the eventless path reads lead; the
+// prefix key and the lifecycle fields follow.
+type slot struct {
 	origins []bgp.ASN // current origin set (ascending); in conflict iff len >= 2
+	head    int32     // caller-owned route-list head; -1 when none (see Head)
+	// activeAt is the slot's index in Kernel.active, -1 when not in
+	// conflict.
+	activeAt int32
 	// escaped marks origins' backing array as aliased by an emitted event
 	// (Origins of the event that committed it). While false the backing
 	// is exclusively the kernel's and may be overwritten in place, which
@@ -114,6 +123,12 @@ type state struct {
 	// the bulk of a real feed — allocation-free.
 	escaped bool
 	class   core.Class
+	// tracked reports that the kernel holds a state for the prefix (see
+	// State). An untracked slot has no origins, no lifecycle and an
+	// unescaped origins backing; it lives on only while the caller holds
+	// a route list on it.
+	tracked bool
+	prefix  bgp.Prefix
 	seq     uint64 // lifecycle event ordinal for this prefix
 	since   int    // day the current activation started
 	history []Event
@@ -153,39 +168,108 @@ type Options struct {
 // Kernel is the conflict-episode state machine. It is deliberately
 // single-threaded: concurrent users (the sharded streaming engine) own
 // one kernel per shard and serialize access through the shard lock.
+//
+// Every tracked prefix lives in a dense slot: index resolves a prefix to
+// its slot with one hash probe, and everything per-prefix — the state,
+// its active flag, the caller's route-list head — is slot-indexed in a
+// chunked table that grows without copying. A slot is recycled once its
+// prefix has no routes and no lifecycle worth keeping, so the table is
+// bounded by live plus conflicted prefixes.
 type Kernel struct {
 	opts   Options
-	states map[bgp.Prefix]*state
-	active map[bgp.Prefix]struct{}
+	index  map[bgp.Prefix]int32
+	slots  arena.Chunked[slot]
+	free   []int32 // recycled slots, reused before the table grows
+	active []int32 // slots in conflict, in no particular order
 	reg    *core.Registry
 	events int     // lifecycle events emitted
 	log    []Event // full event record, kept only when opts.KeepLog
 	// closedSpans accumulates ended activations incrementally so duration
 	// stats never rescan the event log; open spans are derived from the
-	// active set (state.since) on demand.
+	// active set (slot.since) on demand.
 	closedSpans []Span
-	evBuf       []Event // Apply's reused return buffer
-	// stateArena allocates state values in chunks and freeStates recycles
-	// deleted ones, so prefixes that flap between announced and withdrawn
-	// (created, deleted as "no lifecycle worth keeping", re-created) do
-	// not allocate a fresh state per cycle.
-	stateArena []state
-	freeStates []*state
-	asnArena   []bgp.ASN // chunked backing for unescaped origin commits
-	// arenaTotal counts states ever carved from the arena (recycled ones
-	// are not re-counted) — the memory-accounting view of how many state
-	// objects the kernel retains across all chunks.
-	arenaTotal int
+	evBuf       []Event   // Apply's reused return buffer
+	asnArena    []bgp.ASN // chunked backing for unescaped origin commits
 }
 
 // New returns an empty kernel.
 func New(opts Options) *Kernel {
 	return &Kernel{
-		opts:   opts,
-		states: make(map[bgp.Prefix]*state),
-		active: make(map[bgp.Prefix]struct{}),
-		reg:    core.NewRegistry(),
+		opts:  opts,
+		index: make(map[bgp.Prefix]int32),
+		reg:   core.NewRegistry(),
 	}
+}
+
+// Lookup returns p's slot, if the kernel holds one: p has a state or a
+// caller-held route list.
+func (k *Kernel) Lookup(p bgp.Prefix) (int32, bool) {
+	i, ok := k.index[p]
+	return i, ok
+}
+
+// Slot returns p's slot, taking an empty one when p has none. The caller
+// must then set a route-list head on it (SetHead) or drive an
+// observation through it (ApplySlot), either of which decides whether
+// the slot is kept.
+func (k *Kernel) Slot(p bgp.Prefix) int32 {
+	if i, ok := k.index[p]; ok {
+		return i
+	}
+	return k.newSlot(p)
+}
+
+// Head returns slot i's route-list head: an index the caller owns and
+// the kernel only stores, -1 when the caller holds no routes for the
+// prefix.
+func (k *Kernel) Head(i int32) int32 { return k.slots.At(i).head }
+
+// SetHead stores slot i's route-list head. A slot whose head is -1 is
+// recycled by the next ApplySlot that leaves it without a state.
+func (k *Kernel) SetHead(i, head int32) { k.slots.At(i).head = head }
+
+// WalkHeads visits every slot holding a route list, in slot order.
+func (k *Kernel) WalkHeads(fn func(p bgp.Prefix, head int32)) {
+	for i := int32(0); i < int32(k.slots.Len()); i++ {
+		if st := k.slots.At(i); st.head >= 0 {
+			fn(st.prefix, st.head)
+		}
+	}
+}
+
+// newSlot takes a recycled slot or carves a fresh one and maps p to it.
+// A recycled slot keeps its origins backing, which is unescaped (see
+// slot.tracked).
+func (k *Kernel) newSlot(p bgp.Prefix) int32 {
+	var i int32
+	if n := len(k.free); n > 0 {
+		i = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		i = k.slots.Alloc()
+	}
+	st := k.slots.At(i)
+	*st = slot{origins: st.origins[:0], head: -1, activeAt: -1, prefix: p}
+	k.index[p] = i
+	return i
+}
+
+// release recycles slot i once nothing holds it: no state and no routes.
+func (k *Kernel) release(i int32, st *slot) {
+	if st.tracked || st.head >= 0 {
+		return
+	}
+	delete(k.index, st.prefix)
+	k.free = append(k.free, i)
+}
+
+// untrack drops slot i's state — fully withdrawn, no lifecycle worth
+// keeping — and recycles the slot unless the caller still holds routes
+// on it. The origins backing is unescaped here: the commit that emptied
+// it either reused an unescaped backing or committed nil.
+func (k *Kernel) untrack(i int32, st *slot) {
+	*st = slot{origins: st.origins[:0], head: st.head, activeAt: -1, prefix: st.prefix}
+	k.release(i, st)
 }
 
 // Apply drives one observation through the state machine and returns the
@@ -193,29 +277,40 @@ func New(opts Options) *Kernel {
 // next Apply call, so callers retain events by copying them out). An
 // observation that changes neither the origin set nor the class performs
 // no allocation — the streaming hot path's claim (BenchmarkShardReassess).
+// Apply resolves the prefix's slot and runs ApplySlot, the one
+// transition path every caller shares.
 func (k *Kernel) Apply(o Obs) []Event {
-	st := k.states[o.Prefix]
+	i, ok := k.index[o.Prefix]
+	if !ok {
+		if len(o.Origins) == 0 {
+			return nil // never tracked and observed absent: nothing to do
+		}
+		i = k.newSlot(o.Prefix)
+	}
+	return k.ApplySlot(i, o)
+}
+
+// ApplySlot is Apply on an already resolved slot: i must be o.Prefix's
+// slot (Slot or Lookup). Callers that keep per-prefix data of their own
+// in the slot (a route-list head) resolve the prefix once and drive both
+// through the same slot.
+func (k *Kernel) ApplySlot(i int32, o Obs) []Event {
+	st := k.slots.At(i)
 	origins := o.Origins
 	class := o.Class
 	if len(origins) < 2 {
 		class = core.ClassNone
 	}
-	var prevOrigins []bgp.ASN
-	var prevClass core.Class
-	if st != nil {
-		prevOrigins, prevClass = st.origins, st.class
-	}
+	// An untracked slot has no origins and ClassNone, so it compares as
+	// the absent state.
+	prevOrigins, prevClass := st.origins, st.class
 	sameSet := asnsEqual(origins, prevOrigins)
 	if sameSet && class == prevClass {
+		k.release(i, st)
 		return nil
 	}
-	if st == nil {
-		if len(origins) == 0 {
-			return nil // never tracked and observed absent: nothing to do
-		}
-		st = k.newState()
-		k.states[o.Prefix] = st
-	}
+	// Past the early return an untracked slot observes a non-empty set.
+	st.tracked = true
 
 	// The lifecycle transition is decided before the commit so the commit
 	// can reuse st.origins' backing in place for the eventless case; an
@@ -244,7 +339,7 @@ func (k *Kernel) Apply(o Obs) []Event {
 			// Eventless commit outgrowing its backing — in practice a
 			// fresh state's first single-origin set. Nothing escapes it,
 			// so it can come from the chunked arena; it stays with the
-			// state (and its recycled successors) from here on.
+			// slot (and the prefixes that recycle it) from here on.
 			committed = append(k.allocOrigins(len(origins)), origins...)
 		} else {
 			committed = append(make([]bgp.ASN, 0, len(origins)), origins...)
@@ -254,37 +349,49 @@ func (k *Kernel) Apply(o Obs) []Event {
 	switch evType {
 	case EventConflictStart:
 		st.since = o.Day
-		k.active[o.Prefix] = struct{}{}
+		st.activeAt = int32(len(k.active))
+		k.active = append(k.active, i)
 	case EventConflictEnd:
 		ev.Origins = nil
-		delete(k.active, o.Prefix)
+		k.deactivate(st)
 		k.closedSpans = append(k.closedSpans, Span{Start: st.since, End: o.Day})
 	}
 	st.origins, st.class = committed, class
 	// An end event's committed set (at most one origin) is not carried by
 	// the event, so its backing stays exclusively the kernel's.
 	st.escaped = evType != 0 && evType != EventConflictEnd && len(committed) > 0
-	if len(st.origins) == 0 && st.seq == 0 {
-		// Fully withdrawn, no lifecycle worth keeping: recycle the state.
-		// Organically seq == 0 implies no event here, but a hostile
-		// snapshot can restore >=2 origins with Seq 0, making this very
-		// observation emit a conflict-end — emit() below would then write
-		// into a recycled state and corrupt the free list, so such a
-		// state is dropped to the GC instead.
-		delete(k.states, o.Prefix)
-		if evType == 0 {
-			k.freeState(st)
-		}
-	}
+	// Fully withdrawn with no lifecycle worth keeping: the state goes.
+	// Organically seq == 0 implies no event here, but a hostile snapshot
+	// can restore >=2 origins with Seq 0, making this very observation
+	// emit a conflict-end; that event is still emitted, and the state it
+	// was recorded into is dropped after it.
+	drop := len(st.origins) == 0 && st.seq == 0
 	if evType == 0 {
+		if drop {
+			k.untrack(i, st)
+		}
 		return nil // sub-conflict origin churn (e.g. one origin to another)
 	}
 	k.emit(st, &ev)
 	if k.opts.OnEpisode != nil {
 		k.fireEpisode(st, &ev, prevOrigins, prevClass)
 	}
+	if drop {
+		k.untrack(i, st)
+	}
 	k.evBuf = append(k.evBuf[:0], ev)
 	return k.evBuf
+}
+
+// deactivate removes st from the active set by moving the last active
+// slot into its place.
+func (k *Kernel) deactivate(st *slot) {
+	j, n := st.activeAt, len(k.active)-1
+	last := k.active[n]
+	k.active[j] = last
+	k.slots.At(last).activeAt = j
+	k.active = k.active[:n]
+	st.activeAt = -1
 }
 
 // fireEpisode reports the observation's episode effect. An end event
@@ -295,7 +402,7 @@ func (k *Kernel) Apply(o Obs) []Event {
 // open through the event's own day with the post-transition set. The
 // event's Seq carries over, giving durable consumers a per-prefix total
 // order shared with the event stream.
-func (k *Kernel) fireEpisode(st *state, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
+func (k *Kernel) fireEpisode(st *slot, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
 	ep := Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: st.since, Open: ev.Type != EventConflictEnd}
 	if ev.Type == EventConflictEnd {
 		ep.Origins, ep.Class = prevOrigins, prevClass
@@ -310,26 +417,14 @@ func (k *Kernel) fireEpisode(st *state, ev *Event, prevOrigins []bgp.ASN, prevCl
 	k.opts.OnEpisode(ep)
 }
 
-// newState returns a zeroed state, recycling freed ones and carving fresh
-// ones from the chunked arena.
-func (k *Kernel) newState() *state {
-	if n := len(k.freeStates); n > 0 {
-		st := k.freeStates[n-1]
-		k.freeStates = k.freeStates[:n-1]
-		return st
-	}
-	if len(k.stateArena) == cap(k.stateArena) {
-		k.stateArena = make([]state, 0, 512)
-	}
-	k.stateArena = append(k.stateArena, state{})
-	k.arenaTotal++
-	return &k.stateArena[len(k.stateArena)-1]
-}
+// ArenaStates returns the number of slots carved from the kernel's slot
+// table over its lifetime — slots in use plus the recycled free list,
+// i.e. the table's retained footprint in per-prefix states.
+func (k *Kernel) ArenaStates() int { return k.slots.Len() }
 
-// ArenaStates returns the number of state objects carved from the
-// kernel's arena over its lifetime — live states plus the recycled free
-// list, i.e. the arena's retained footprint in states.
-func (k *Kernel) ArenaStates() int { return k.arenaTotal }
+// Slots returns the number of slots in use: prefixes with a state or a
+// caller-held route list.
+func (k *Kernel) Slots() int { return len(k.index) }
 
 // allocOrigins reserves an n-capacity, zero-length origin slice from the
 // chunked arena. The full-capacity bound keeps a later in-place reuse
@@ -343,15 +438,7 @@ func (k *Kernel) allocOrigins(n int) []bgp.ASN {
 	return k.asnArena[off : off : off+n]
 }
 
-// freeState recycles st, keeping its origins backing for reuse. Only
-// lifecycle-free states reach here (seq == 0, hence no emitted event and
-// no escaped backing), so nothing aliases the state or its slices.
-func (k *Kernel) freeState(st *state) {
-	*st = state{origins: st.origins[:0]}
-	k.freeStates = append(k.freeStates, st)
-}
-
-func (k *Kernel) emit(st *state, ev *Event) {
+func (k *Kernel) emit(st *slot, ev *Event) {
 	st.seq++
 	ev.Seq = st.seq
 	if k.opts.HistoryCap > 0 && len(st.history) >= k.opts.HistoryCap {
@@ -371,9 +458,9 @@ func (k *Kernel) emit(st *state, ev *Event) {
 // conflicts) instead of O(table). Both adapters call it once per observed
 // day, which is what makes their registries identical.
 func (k *Kernel) CloseDay(day int) {
-	for p := range k.active {
-		st := k.states[p]
-		k.reg.Record(day, p, st.origins, st.class)
+	for _, i := range k.active {
+		st := k.slots.At(i)
+		k.reg.Record(day, st.prefix, st.origins, st.class)
 	}
 }
 
@@ -406,28 +493,35 @@ type View struct {
 // kernel holds no state for the prefix (never observed, or withdrawn with
 // no lifecycle).
 func (k *Kernel) State(p bgp.Prefix) (View, bool) {
-	st, ok := k.states[p]
+	i, ok := k.index[p]
 	if !ok {
 		return View{}, false
 	}
-	_, active := k.active[p]
+	st := k.slots.At(i)
+	if !st.tracked {
+		return View{}, false
+	}
+	return st.view(), true
+}
+
+func (st *slot) view() View {
 	return View{
 		Origins: st.origins,
 		Class:   st.class,
 		Since:   st.since,
 		Seq:     st.seq,
-		Active:  active,
+		Active:  st.activeAt >= 0,
 		History: st.history,
-	}, true
+	}
 }
 
 // WalkActive visits every active conflict; iteration order is undefined.
 // The View's slices are borrowed (see State). Return false to stop.
 // The callback must not call back into the kernel's mutating methods.
 func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
-	for p := range k.active {
-		st := k.states[p]
-		if !fn(p, View{Origins: st.origins, Class: st.class, Since: st.since, Seq: st.seq, Active: true, History: st.history}) {
+	for _, i := range k.active {
+		st := k.slots.At(i)
+		if !fn(st.prefix, st.view()) {
 			return
 		}
 	}
@@ -437,8 +531,8 @@ func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 // event time, open ones derived from the active set — to dst.
 func (k *Kernel) AppendSpans(dst []Span) []Span {
 	dst = append(dst, k.closedSpans...)
-	for p := range k.active {
-		dst = append(dst, Span{Start: k.states[p].since, Open: true})
+	for _, i := range k.active {
+		dst = append(dst, Span{Start: k.slots.At(i).since, Open: true})
 	}
 	return dst
 }

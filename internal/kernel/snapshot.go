@@ -3,7 +3,6 @@ package kernel
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"moas/internal/bgp"
@@ -142,28 +141,37 @@ func tail[T any](s []T, n int) []T {
 
 // Snapshot serializes the kernel's complete state. The result shares no
 // memory with the kernel (event slices are copied), so it stays valid
-// while the kernel keeps running. Every state's origins and history are
+// while the kernel keeps running. It walks the dense slot table, then
+// sorts the tracked prefixes; every state's origins and history are
 // carved out of one backing array each, so a snapshot costs a handful of
 // allocations rather than several per prefix.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
-	nOrigins, nHistory := 0, 0
-	for _, st := range k.states {
-		nOrigins += len(st.origins)
-		nHistory += len(st.history)
+	type keyed struct {
+		p bgp.Prefix
+		i int32
 	}
+	keys := make([]keyed, 0, len(k.index))
+	nOrigins, nHistory := 0, 0
+	for i := int32(0); i < int32(k.slots.Len()); i++ {
+		if st := k.slots.At(i); st.tracked {
+			keys = append(keys, keyed{st.prefix, i})
+			nOrigins += len(st.origins)
+			nHistory += len(st.history)
+		}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int { return a.p.Compare(b.p) })
 	origins := make([]bgp.ASN, 0, nOrigins)
 	history := make([]EventSnap, 0, nHistory)
-	keys := slices.SortedFunc(maps.Keys(k.states), bgp.Prefix.Compare)
 	s.Prefixes = slices.Grow(s.Prefixes, len(keys))
-	for _, p := range keys {
-		st := k.states[p]
+	for _, key := range keys {
+		st := k.slots.At(key.i)
 		origins = append(origins, st.origins...)
 		for i := range st.history {
 			history = append(history, eventToSnap(&st.history[i]))
 		}
 		s.Prefixes = append(s.Prefixes, PrefixSnap{
-			Prefix:  p,
+			Prefix:  key.p,
 			Origins: tail(origins, len(st.origins)),
 			Class:   uint8(st.class),
 			Seq:     st.seq,
@@ -192,37 +200,41 @@ func (k *Kernel) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore loads a snapshot into an empty kernel (one fresh from New).
-// Histories longer than the kernel's HistoryCap are truncated to their
-// most recent events. Active conflicts are re-derived from origin-set
-// cardinality, the invariant the state machine maintains. Snapshots
+// Restore loads a snapshot into an empty kernel (one fresh from New),
+// sizing the prefix index and slot table from the snapshot's prefix
+// count. Histories longer than the kernel's HistoryCap are truncated to
+// their most recent events. Active conflicts are re-derived from
+// origin-set cardinality, the invariant the state machine maintains. Snapshots
 // arrive from outside the process, so a prefix listed twice — in
 // Prefixes or in Conflicts — is an error rather than a silent overwrite.
 func (k *Kernel) Restore(s *Snapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	if len(k.states) != 0 || k.reg.Len() != 0 || k.events != 0 {
+	if len(k.index) != 0 || k.reg.Len() != 0 || k.events != 0 {
 		return fmt.Errorf("kernel: restore into non-empty kernel")
 	}
+	k.index = make(map[bgp.Prefix]int32, len(s.Prefixes))
+	k.slots.Grow(len(s.Prefixes))
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
 		p := ps.Prefix
 		if err := validPrefix(p, "state"); err != nil {
 			return err
 		}
-		if _, dup := k.states[p]; dup {
+		if _, dup := k.index[p]; dup {
 			return fmt.Errorf("kernel: snapshot lists prefix %v twice", p)
 		}
 		if err := validClass(ps.Class); err != nil {
 			return fmt.Errorf("kernel: snapshot prefix %v: %w", p, err)
 		}
-		st := &state{
-			origins: append([]bgp.ASN(nil), ps.Origins...),
-			class:   core.Class(ps.Class),
-			seq:     ps.Seq,
-			since:   ps.Since,
-		}
+		i := k.newSlot(p)
+		st := k.slots.At(i)
+		st.tracked = true
+		st.origins = append([]bgp.ASN(nil), ps.Origins...)
+		st.class = core.Class(ps.Class)
+		st.seq = ps.Seq
+		st.since = ps.Since
 		hist := ps.History
 		if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
 			hist = hist[len(hist)-k.opts.HistoryCap:]
@@ -235,9 +247,9 @@ func (k *Kernel) Restore(s *Snapshot) error {
 			}
 			st.history = append(st.history, ev)
 		}
-		k.states[p] = st
 		if len(st.origins) >= 2 {
-			k.active[p] = struct{}{}
+			st.activeAt = int32(len(k.active))
+			k.active = append(k.active, i)
 		}
 	}
 	for i := range s.Conflicts {

@@ -63,6 +63,7 @@ type statsJSON struct {
 	InternerBytes   int64          `json:"interner_bytes"`
 	RouteNodes      int            `json:"route_nodes"`
 	KernelStates    int            `json:"kernel_states"`
+	Slots           int            `json:"slots"`
 	ActiveConflicts int            `json:"active_conflicts"`
 	TotalConflicts  int            `json:"total_conflicts"`
 	Events          int            `json:"events"`
@@ -230,6 +231,7 @@ func statsToJSON(e *Engine) statsJSON {
 		InternerBytes:   st.InternerBytes,
 		RouteNodes:      st.RouteNodes,
 		KernelStates:    st.KernelStates,
+		Slots:           st.Slots,
 		ActiveConflicts: st.ActiveConflicts,
 		TotalConflicts:  st.TotalConflicts,
 		Events:          st.Events,

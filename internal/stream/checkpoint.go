@@ -71,9 +71,10 @@ func (h *HexBytes) UnmarshalText(text []byte) error {
 
 // Checkpoint serializes the engine. The engine must be settled — parked
 // after a Pause (Parked), fully replayed, or Closed — so that no batches
-// are in flight; each shard is then read under its stripe lock. Each
-// distinct interned attrs block is rendered to wire form once and shared
-// by every route that carries it.
+// are in flight; each shard is then read under its stripe lock. Route
+// tables are collected by walking each shard's dense slot table and
+// sorted by prefix at the end. Each distinct interned attrs block is
+// rendered to wire form once and shared by every route that carries it.
 func (e *Engine) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Version:       CheckpointVersion,
@@ -89,13 +90,13 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		parts = append(parts, s.k.Snapshot())
 		// One backing array each for the shard's route entries and peer
 		// addresses; the arena length bounds the live route count.
-		routes := make([]PeerRouteSnap, 0, len(s.nodes))
-		ips := make([]byte, 0, 16*len(s.nodes))
-		ck.Routes = slices.Grow(ck.Routes, len(s.prefixes))
-		for p, head := range s.prefixes {
+		routes := make([]PeerRouteSnap, 0, s.nodes.Len())
+		ips := make([]byte, 0, 16*s.nodes.Len())
+		ck.Routes = slices.Grow(ck.Routes, s.k.Slots())
+		s.k.WalkHeads(func(p bgp.Prefix, head int32) {
 			start := len(routes)
-			for i := head; i >= 0; i = s.nodes[i].next {
-				n := &s.nodes[i]
+			for i := head; i >= 0; i = s.nodes.At(i).next {
+				n := s.nodes.At(i)
 				w, ok := wire[n.attrs]
 				if !ok {
 					w = n.attrs.AppendWireEx(nil, true)
@@ -113,7 +114,7 @@ func (e *Engine) Checkpoint() *Checkpoint {
 				return cmp.Or(bytes.Compare(a.PeerIP, b.PeerIP), cmp.Compare(a.PeerAS, b.PeerAS))
 			})
 			ck.Routes = append(ck.Routes, pr)
-		}
+		})
 		s.mu.RUnlock()
 	}
 	ck.Kernel = kernel.Merge(parts)
@@ -124,9 +125,10 @@ func (e *Engine) Checkpoint() *Checkpoint {
 // NewFromCheckpoint starts an engine primed with a checkpoint's state:
 // kernel partitions and route tables are redistributed across cfg.Shards
 // by prefix hash, and the replay counters resume where the checkpointed
-// engine stopped. Continue feeding it with Replay and
-// ReplayOptions.Resume{Records: ck.Records, ...} over a fresh open of the
-// same archive. Checkpoints arrive from outside the process, so invalid
+// engine stopped. Each shard's prefix index, slot table and node arena
+// are sized from the checkpoint's own prefix and route counts. Continue
+// feeding it with Replay and ReplayOptions.Resume{Records: ck.Records,
+// ...} over a fresh open of the same archive. Checkpoints arrive from outside the process, so invalid
 // prefixes, malformed peer addresses or attribute blocks, and a prefix
 // whose route table is listed twice are errors.
 func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
@@ -167,8 +169,13 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 	parts[0].ClosedSpans = ck.Kernel.ClosedSpans
 	parts[0].Events = ck.Kernel.Events
 	parts[0].Log = ck.Kernel.Log
+	nodes := make([]int, len(e.shards))
+	for i := range ck.Routes {
+		nodes[e.shardFor(ck.Routes[i].Prefix)] += len(ck.Routes[i].Routes)
+	}
 	for i, s := range e.shards {
 		s.mu.Lock()
+		s.nodes.Grow(nodes[i])
 		err := s.k.Restore(parts[i])
 		s.mu.Unlock()
 		if err != nil {
@@ -198,7 +205,7 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 func (s *shard) restoreRoutes(pr *PrefixRoutes, in *bgp.AttrsInterner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.prefixes[pr.Prefix]; dup {
+	if i, ok := s.k.Lookup(pr.Prefix); ok && s.k.Head(i) >= 0 {
 		// A second list would orphan the first one's arena nodes.
 		return fmt.Errorf("stream: checkpoint lists routes for %v twice", pr.Prefix)
 	}
@@ -218,7 +225,7 @@ func (s *shard) restoreRoutes(pr *PrefixRoutes, in *bgp.AttrsInterner) error {
 		head, _ = s.upsertRoute(head, PeerKey{IP: [16]byte(rt.PeerIP), AS: rt.PeerAS}, attrs)
 	}
 	if head >= 0 {
-		s.prefixes[pr.Prefix] = head
+		s.k.SetHead(s.k.Slot(pr.Prefix), head)
 	}
 	return nil
 }

@@ -434,8 +434,8 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 		info.Class = v.Class
 		info.History = append([]Event(nil), v.History...)
 	}
-	if head, ok := s.prefixes[p]; ok {
-		info.Routes = s.routeCount(head)
+	if i, ok := s.k.Lookup(p); ok {
+		info.Routes = s.routeCount(s.k.Head(i))
 	}
 	if c, ok := s.k.Registry().Get(p); ok {
 		info.Conflict = c.Clone()
@@ -488,7 +488,8 @@ type Stats struct {
 	InternerEpochs  int    // cap-triggered interner rebuilds (0 = never capped)
 	InternerBytes   int64  // approximate retained interner memory
 	RouteNodes      int    // per-peer route entries retained across all shards
-	KernelStates    int    // kernel state objects retained across all shards
+	KernelStates    int    // kernel state objects (slots carved) retained across all shards
+	Slots           int    // slots in use: prefixes with routes or a kept lifecycle; <= KernelStates
 	ActiveConflicts int
 	TotalConflicts  int                  // distinct prefixes ever in conflict
 	Events          int                  // lifecycle events emitted
@@ -538,8 +539,9 @@ func (e *Engine) Stats() Stats {
 		st.ActiveConflicts += s.k.ActiveCount()
 		st.TotalConflicts += s.k.Registry().Len()
 		st.Events += s.k.EventCount()
-		st.RouteNodes += len(s.nodes)
+		st.RouteNodes += s.nodes.Len()
 		st.KernelStates += s.k.ArenaStates()
+		st.Slots += s.k.Slots()
 		s.k.WalkActive(func(_ bgp.Prefix, v kernel.View) bool {
 			st.ByClass[v.Class]++
 			return true

@@ -3,6 +3,7 @@ package stream
 import (
 	"sync"
 
+	"moas/internal/arena"
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/epilog"
@@ -36,10 +37,11 @@ type batch struct {
 }
 
 // routeNode is one (peer → attrs) entry of a prefix's live route table.
-// Nodes live in the shard's arena slice and chain through indices, so the
-// per-prefix table is a linked list with no per-prefix heap object: route
-// flap — withdraw-then-reannounce, the dominant churn on a real feed —
-// recycles nodes through the shard free list instead of reallocating maps.
+// Nodes live in the shard's chunked arena and chain through indices, so
+// the per-prefix table is a linked list with no per-prefix heap object:
+// route flap — withdraw-then-reannounce, the dominant churn on a real
+// feed — recycles nodes through the shard free list instead of
+// reallocating maps.
 // Peer counts per prefix are small (a collector has tens of peers), so the
 // linear list walk beats a map on both allocation and locality.
 type routeNode struct {
@@ -55,13 +57,12 @@ type routeNode struct {
 // shard.
 type shard struct {
 	mu sync.RWMutex
-	// prefixes maps a prefix to the head of its route list in nodes.
-	// Values, not pointers: deleting and re-adding a prefix costs no
-	// allocation once the map has grown.
-	prefixes map[bgp.Prefix]int32
-	nodes    []routeNode
-	freeNode int32 // head of the recycled-node list, -1 when empty
+	// k resolves each prefix to its slot, which holds both the prefix's
+	// conflict state and the head of its route list in nodes: the
+	// shard's one per-prefix table.
 	k        *kernel.Kernel
+	nodes    arena.Chunked[routeNode]
+	freeNode int32 // head of the recycled-node list, -1 when empty
 
 	scratch []rib.PeerRoute
 	// origScratch is the reusable target of the per-change origin-set
@@ -91,7 +92,6 @@ type shard struct {
 
 func newShard(queueDepth, historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
 	s := &shard{
-		prefixes: make(map[bgp.Prefix]int32),
 		freeNode: -1,
 		notify:   notify,
 		recycle:  recycle,
@@ -211,51 +211,42 @@ func (s *shard) apply(ops []op) {
 // allocNode returns a free node index, recycling before growing the arena.
 func (s *shard) allocNode() int32 {
 	if i := s.freeNode; i >= 0 {
-		s.freeNode = s.nodes[i].next
+		s.freeNode = s.nodes.At(i).next
 		return i
 	}
-	s.nodes = append(s.nodes, routeNode{})
-	return int32(len(s.nodes) - 1)
+	return s.nodes.Alloc()
 }
 
+// applyOne resolves the op's prefix to its kernel slot once and runs the
+// route change and the reassessment against that slot. A fully withdrawn
+// prefix's slot is recycled by the kernel unless it keeps a lifecycle.
 func (s *shard) applyOne(o *op) {
-	head, ok := s.prefixes[o.prefix]
-	if !ok {
-		head = -1
-	}
+	var i, head int32
 	if o.withdraw {
-		if !ok {
+		var ok bool
+		if i, ok = s.k.Lookup(o.prefix); !ok {
 			return
 		}
-		newHead, removed := s.removeRoute(head, o.peer)
-		if !removed {
+		var removed bool
+		if head, removed = s.removeRoute(s.k.Head(i), o.peer); !removed {
 			return
-		}
-		head = newHead
-		if head >= 0 {
-			s.prefixes[o.prefix] = head
-		} else {
-			// Fully withdrawn: the kernel keeps any lifecycle worth keeping.
-			delete(s.prefixes, o.prefix)
 		}
 	} else {
-		newHead, changed := s.upsertRoute(head, o.peer, o.attrs)
-		if !changed {
+		i = s.k.Slot(o.prefix)
+		var changed bool
+		if head, changed = s.upsertRoute(s.k.Head(i), o.peer, o.attrs); !changed {
 			return
 		}
-		if newHead != head {
-			s.prefixes[o.prefix] = newHead
-			head = newHead
-		}
 	}
-	s.reassess(o.prefix, head, o.day)
+	s.k.SetHead(i, head)
+	s.reassess(i, o.prefix, head, o.day)
 }
 
 // upsertRoute stores attrs as peer's route in the list at head, returning
 // the (possibly new) head and whether anything changed.
 func (s *shard) upsertRoute(head int32, peer PeerKey, attrs *bgp.Attrs) (int32, bool) {
-	for i := head; i >= 0; i = s.nodes[i].next {
-		n := &s.nodes[i]
+	for i := head; i >= 0; i = s.nodes.At(i).next {
+		n := s.nodes.At(i)
 		if n.peer == peer {
 			// Pointer equality first: the replay decode stage interns
 			// attrs by wire bytes, so a re-announcement with unchanged
@@ -272,7 +263,7 @@ func (s *shard) upsertRoute(head int32, peer PeerKey, attrs *bgp.Attrs) (int32, 
 		}
 	}
 	i := s.allocNode()
-	s.nodes[i] = routeNode{peer: peer, attrs: attrs, next: head}
+	*s.nodes.At(i) = routeNode{peer: peer, attrs: attrs, next: head}
 	return i, true
 }
 
@@ -280,14 +271,15 @@ func (s *shard) upsertRoute(head int32, peer PeerKey, attrs *bgp.Attrs) (int32, 
 // new head and whether a route was removed.
 func (s *shard) removeRoute(head int32, peer PeerKey) (int32, bool) {
 	prev := int32(-1)
-	for i := head; i >= 0; i = s.nodes[i].next {
-		if s.nodes[i].peer == peer {
+	for i := head; i >= 0; i = s.nodes.At(i).next {
+		n := s.nodes.At(i)
+		if n.peer == peer {
 			if prev < 0 {
-				head = s.nodes[i].next
+				head = n.next
 			} else {
-				s.nodes[prev].next = s.nodes[i].next
+				s.nodes.At(prev).next = n.next
 			}
-			s.nodes[i] = routeNode{next: s.freeNode}
+			*n = routeNode{next: s.freeNode}
 			s.freeNode = i
 			return head, true
 		}
@@ -299,7 +291,7 @@ func (s *shard) removeRoute(head int32, peer PeerKey) (int32, bool) {
 // routeCount returns the length of the route list at head.
 func (s *shard) routeCount(head int32) int {
 	n := 0
-	for i := head; i >= 0; i = s.nodes[i].next {
+	for i := head; i >= 0; i = s.nodes.At(i).next {
 		n++
 	}
 	return n
@@ -312,10 +304,10 @@ func (s *shard) routeCount(head int32) int {
 // the set actually changed, so the common case — an update that does not
 // flip the origin set — performs zero allocations
 // (BenchmarkShardReassess's claim).
-func (s *shard) reassess(p bgp.Prefix, head int32, day int) {
+func (s *shard) reassess(slot int32, p bgp.Prefix, head int32, day int) {
 	s.scratch = s.scratch[:0]
-	for i := head; i >= 0; i = s.nodes[i].next {
-		n := &s.nodes[i]
+	for i := head; i >= 0; i = s.nodes.At(i).next {
+		n := s.nodes.At(i)
 		s.scratch = append(s.scratch, rib.PeerRoute{
 			PeerAS: n.peer.AS,
 			Route:  bgp.Route{Prefix: p, Attrs: n.attrs},
@@ -328,7 +320,7 @@ func (s *shard) reassess(p bgp.Prefix, head int32, day int) {
 	if len(s.origScratch) >= 2 {
 		class = core.ClassifyRoutes(s.scratch)
 	}
-	for _, ev := range s.k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: s.origScratch, Class: class}) {
+	for _, ev := range s.k.ApplySlot(slot, kernel.Obs{Day: day, Prefix: p, Origins: s.origScratch, Class: class}) {
 		if s.notify != nil {
 			s.notifyBuf = append(s.notifyBuf, ev)
 		}

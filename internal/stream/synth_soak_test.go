@@ -15,10 +15,11 @@ import (
 )
 
 // TestSynthFlapStormSoak: after a warmup third of the run, every
-// storage-growth counter — route nodes carved, kernel states carved,
-// interner bytes — must stay exactly flat while events keep
+// storage-growth counter — route nodes carved, kernel states (slots)
+// carved, interner bytes — must stay exactly flat while events keep
 // accumulating: withdraw/re-announce cycles and flapping conflicts must
-// run on recycled storage. Sized to seconds by default (the -race CI job
+// run on recycled storage. Slots, carved and in use, are also bounded
+// outright by the archive's distinct prefix count. Sized to seconds by default (the -race CI job
 // runs it on every push); MOAS_SOAK=1 (`make soak`) runs the
 // months-of-days version.
 func TestSynthFlapStormSoak(t *testing.T) {
@@ -44,10 +45,10 @@ func TestSynthFlapStormSoak(t *testing.T) {
 	defer e.Close()
 
 	type sample struct {
-		day                    int
-		routeNodes, kernStates int
-		internerBytes          int64
-		events                 int
+		day                           int
+		routeNodes, kernStates, slots int
+		internerBytes                 int64
+		events                        int
 	}
 	var samples []sample
 	// The generator is the transport: synth streams MRT bytes straight
@@ -61,7 +62,7 @@ func TestSynthFlapStormSoak(t *testing.T) {
 		Tick: time.Hour,
 		OnDayClose: func(day int) {
 			st := e.Stats()
-			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.InternerBytes, st.Events})
+			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.Slots, st.InternerBytes, st.Events})
 		},
 	})
 	if err != nil {
@@ -84,6 +85,18 @@ func TestSynthFlapStormSoak(t *testing.T) {
 			t.Errorf("day %d: interner bytes grew past warmup plateau: %d > %d", s.day, s.internerBytes, warm.internerBytes)
 		}
 	}
+	// Slot recycling makes the plateau a hard bound: the slot tables
+	// (KernelStates) never carve more slots than the archive has
+	// prefixes, and the slots in use fit in them. Slots in use are not
+	// flat — a background prefix withdrawn at a day close frees its
+	// slot — so flatness is required of the carved tables above.
+	distinct := gen.Prefixes()
+	for _, s := range samples {
+		if s.slots > s.kernStates || s.kernStates > distinct {
+			t.Errorf("day %d: %d slots in use, %d carved, want slots <= carved <= %d distinct prefixes",
+				s.day, s.slots, s.kernStates, distinct)
+		}
+	}
 	if last.events <= warm.events {
 		t.Fatalf("events stopped: %d at warmup day %d, %d at day %d — the storm died",
 			warm.events, warm.day, last.events, last.day)
@@ -92,6 +105,6 @@ func TestSynthFlapStormSoak(t *testing.T) {
 	if st.ActiveConflicts != 0 && st.TotalConflicts == 0 {
 		t.Fatalf("degenerate soak: %+v", st)
 	}
-	t.Logf("%d days: %d events on a plateau of %d route nodes, %d kernel states, %d interner bytes",
-		days, last.events, warm.routeNodes, warm.kernStates, warm.internerBytes)
+	t.Logf("%d days: %d events on a plateau of %d route nodes, %d kernel states, %d slots in use (%d prefixes), %d interner bytes",
+		days, last.events, warm.routeNodes, warm.kernStates, warm.slots, distinct, warm.internerBytes)
 }

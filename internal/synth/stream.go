@@ -111,6 +111,7 @@ const (
 type Stream struct {
 	cfg     Config
 	truth   []Episode
+	planned int // pattern prefixes allocated by the plan
 	em      emitter
 	off     int
 	nblocks int
@@ -137,6 +138,7 @@ func NewStream(cfg Config) (*Stream, error) {
 	}
 	sortEpisodes(pl.truth)
 	s.truth = pl.truth
+	s.planned = int(pl.next)
 	s.em.ts = dayTime(0)
 	return s, nil
 }
@@ -147,6 +149,10 @@ func (s *Stream) Truth() []Episode { return s.truth }
 
 // Days reports the (defaulted) observation-day count.
 func (s *Stream) Days() int { return s.cfg.Days }
+
+// Prefixes reports how many distinct prefixes the archive announces: the
+// background table plus every prefix the patterns planned.
+func (s *Stream) Prefixes() int { return s.cfg.Prefixes + s.planned }
 
 // Config returns the defaulted configuration the stream runs.
 func (s *Stream) Config() Config { return s.cfg }
